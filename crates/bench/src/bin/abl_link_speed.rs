@@ -47,7 +47,8 @@ fn main() {
         };
         SweepSpec::new(WorkloadKind::Iperf3, config, scale)
             .with_params(params)
-            .run_at(tenants)
+            .simulation(tenants)
+            .run()
     });
     for (i, &gbps) in speeds.iter().enumerate() {
         let (base, ht) = (&cells[2 * i], &cells[2 * i + 1]);

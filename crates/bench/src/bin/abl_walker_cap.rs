@@ -32,7 +32,8 @@ fn main() {
         }
         SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::hypertrio(), scale)
             .with_params(params)
-            .run_at(tenants)
+            .simulation(tenants)
+            .run()
     });
     for (walkers, report) in caps.into_iter().zip(reports) {
         let label = walkers.map_or("inf".to_string(), |w| w.to_string());

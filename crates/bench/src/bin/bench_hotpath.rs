@@ -66,12 +66,12 @@ fn run_case(config: TranslationConfig, tenants: u32, scale: u64, warmup: u64) ->
     let arch = params.walk_geometry.cli_name();
     let spec = SweepSpec::new(WorkloadKind::Iperf3, config, scale).with_params(params);
     let start = Instant::now();
-    let report = spec.run_at(tenants);
+    let report = spec.simulation(tenants).run();
     let wall_s = start.elapsed().as_secs_f64();
     // Second, instrumented pass for the per-stage breakdown. The headline
     // wall number stays the untimed run above: stage attribution costs two
     // clock reads per stage transition, which would inflate it.
-    let (timed_report, stages) = spec.run_timed_at(tenants);
+    let (timed_report, stages) = spec.simulation(tenants).run_timed();
     assert_eq!(
         timed_report, report,
         "timing instrumentation changed the simulation"

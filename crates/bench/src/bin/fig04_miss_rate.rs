@@ -41,7 +41,7 @@ fn main() {
         "connections", "miss rate %", "nested page reads", "reads/request"
     );
     for tenants in [80u32, 90, 100, 110, 120] {
-        let report = spec.run_at(tenants);
+        let report = spec.simulation(tenants).run();
         println!(
             "{:>12} {:>14.3} {:>20} {:>16.2}",
             tenants,

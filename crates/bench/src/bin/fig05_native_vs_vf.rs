@@ -36,8 +36,8 @@ fn main() {
 
     bench::print_header("pairs", &["native Gb/s", "VF Gb/s"]);
     for tenants in [1u32, 2, 4, 8, 12, 16, 24, 32] {
-        let n = native.run_at(tenants);
-        let v = vf.run_at(tenants);
+        let n = native.simulation(tenants).run();
+        let v = vf.simulation(tenants).run();
         bench::print_row(tenants, &[n.gbps(), v.gbps()]);
     }
     println!();

@@ -14,7 +14,7 @@
 //! Environment: `SCALE` (default 200), `MAX_TENANTS` (default 256).
 
 use hypersio_cache::CacheGeometry;
-use hypersio_sim::{sweep_tenants, SimParams, SweepSpec};
+use hypersio_sim::{sweep_specs_parallel, SimParams, SweepSpec};
 use hypersio_trace::WorkloadKind;
 use hypertrio_core::TranslationConfig;
 
@@ -47,9 +47,8 @@ fn main() {
     .with_params(params);
 
     bench::print_header("conns", &["64e/8w Gb/s", "64e/FA Gb/s"]);
-    let sa_points = sweep_tenants(&sa, &counts);
-    let fa_points = sweep_tenants(&fa, &counts);
-    for (a, b) in sa_points.iter().zip(&fa_points) {
+    let series = sweep_specs_parallel(&[sa, fa], &counts, bench::jobs());
+    for (a, b) in series[0].iter().zip(&series[1]) {
         bench::print_row(a.tenants, &[a.report.gbps(), b.report.gbps()]);
     }
     println!();

@@ -78,7 +78,7 @@ fn main() {
             config.ptb_entries as u64,
         );
         let spec = SweepSpec::new(WorkloadKind::Websearch, config, scale).with_params(params);
-        spec.run_at_with(tenants, &mut series);
+        spec.simulation(tenants).run_with(&mut series);
         if let Err(err) = std::fs::write(&path, series.to_csv()) {
             eprintln!("error: cannot write {path}: {err}");
             std::process::exit(1);

@@ -83,7 +83,7 @@ fn main() {
             scale,
         )
         .with_params(SimParams::paper().with_warmup(2000));
-        spec.run_at_with(tenants, &mut ring);
+        spec.simulation(tenants).run_with(&mut ring);
         let write = || -> std::io::Result<()> {
             let mut w = std::io::BufWriter::new(std::fs::File::create(&path)?);
             ring.write_jsonl(&mut w)?;

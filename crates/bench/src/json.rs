@@ -308,22 +308,9 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes a string for embedding in a JSON document (the workspace's
+/// one escaper, shared with the simulator's report and checkpoint writers).
+pub use hypersio_types::json::escape;
 
 /// Checks that `doc` matches the `bench_hotpath/v1` schema (see the
 /// `bench_hotpath` binary): required top-level fields, a non-empty `cases`
@@ -958,7 +945,7 @@ mod tests {
 
     #[test]
     fn escape_round_trips() {
-        let s = "line\n\"quoted\"\tand\\slash";
+        let s = "line\n\"quoted\"\tand\\slash\r\u{1}\u{1f}µs";
         let parsed = parse(&format!("\"{}\"", escape(s))).unwrap();
         assert_eq!(parsed, Json::Str(s.into()));
     }

@@ -22,6 +22,7 @@
 use std::fmt;
 
 use hypersio_cache::WordReader;
+use hypersio_types::json::escape;
 
 use crate::model::Simulation;
 
@@ -96,24 +97,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Escapes a string for embedding in the header's flat JSON (config names
-/// are plain ASCII in practice; this keeps pathological names readable
-/// rather than corrupting the header).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' | '\\' => {
-                out.push('\\');
-                out.push(c);
-            }
-            '\n' | '\r' => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Extracts the raw token after `"key":` in the (single-line, flat,
 /// machine-written) header, stopping at the next `,` or `}`. String
 /// values keep their surrounding quotes.
@@ -125,11 +108,23 @@ fn raw_field<'a>(header: &'a str, key: &str) -> Result<&'a str, CheckpointError>
         + pat.len();
     let rest = &header[start..];
     let end = if let Some(quoted) = rest.strip_prefix('"') {
-        // A quoted string: scan to the closing quote (the writer never
-        // emits an escaped quote without a backslash; reject if unclosed).
-        let close = quoted
-            .find('"')
-            .ok_or_else(|| CheckpointError::Header(format!("unterminated string for {key:?}")))?;
+        // A quoted string: scan to the first unescaped quote, stepping
+        // over each backslash escape whole; reject if unclosed.
+        let mut chars = quoted.char_indices();
+        let close = loop {
+            match chars.next() {
+                Some((i, '"')) => break i,
+                Some((_, '\\')) => {
+                    chars.next();
+                }
+                Some(_) => {}
+                None => {
+                    return Err(CheckpointError::Header(format!(
+                        "unterminated string for {key:?}"
+                    )))
+                }
+            }
+        };
         close + 2
     } else {
         rest.find([',', '}'])
@@ -319,6 +314,23 @@ mod tests {
         assert!(header.contains("\"config\":\"HyperTRIO\""));
         assert!(header.contains("\"tenants\":4"));
         assert!(header.ends_with('}'));
+    }
+
+    #[test]
+    fn config_names_needing_escapes_resume() {
+        for name in ["has\"quote", "back\\slash", "new\nline", "\"\\\""] {
+            let build = || {
+                let trace = HyperTraceBuilder::new(WorkloadKind::Iperf3, 4)
+                    .scale(2000)
+                    .build();
+                let config = TranslationConfig::base().with_name(name);
+                Simulation::new(config, SimParams::paper(), trace)
+            };
+            let bytes = build().checkpoint_bytes();
+            build()
+                .resume_from_bytes(&bytes)
+                .unwrap_or_else(|e| panic!("config name {name:?}: {e}"));
+        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub struct RunControl<'a> {
     /// Stop at the first frame boundary at or past this *simulated* time,
     /// exactly as if [`RunControl::stop`] had fired there. Unlike a
     /// wall-clock signal this is deterministic, which is what the
-    /// interrupt-resume byte-compare tests (and the CI resume-smoke job)
-    /// need.
+    /// interrupt-resume byte-compare tests (and the `resume` section of
+    /// `scripts/smoke.sh`) need.
     pub stop_after: Option<SimDuration>,
     /// Resident-set-size limit in bytes. Polled every
     /// `RSS_CHECK_FRAMES` (64) frames; when the process RSS exceeds the

@@ -73,37 +73,29 @@ impl SweepSpec {
         (self.scale * tenants as u64 / 1024).max(1)
     }
 
-    /// Builds the trace this spec runs at `tenants`.
-    fn trace_at(&self, tenants: u32) -> hypersio_trace::HyperTrace {
-        HyperTraceBuilder::new(self.workload, tenants)
+    /// Builds the simulation this spec runs at `tenants`: the spec's
+    /// trace, configuration, and parameters, ready to [`Simulation::run`]
+    /// (or [`Simulation::run_with`] an observer, or
+    /// [`Simulation::run_timed`] for the per-stage breakdown).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hypersio_sim::SweepSpec;
+    /// use hypersio_trace::WorkloadKind;
+    /// use hypertrio_core::TranslationConfig;
+    ///
+    /// let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::base(), 5000);
+    /// let report = spec.simulation(2).run();
+    /// assert_eq!(report.tenants, 2);
+    /// ```
+    pub fn simulation(&self, tenants: u32) -> Simulation {
+        let trace = HyperTraceBuilder::new(self.workload, tenants)
             .interleaving(self.interleaving)
             .scale(self.effective_scale(tenants))
             .seed(self.seed)
-            .build()
-    }
-
-    /// Runs this spec at one tenant count.
-    pub fn run_at(&self, tenants: u32) -> SimReport {
-        self.run_at_with(tenants, &mut hypersio_obs::NullObserver)
-    }
-
-    /// Runs this spec at one tenant count, streaming lifecycle events into
-    /// `obs` (see [`Simulation::run_with`]). The report is bit-identical to
-    /// [`SweepSpec::run_at`] for any observer.
-    pub fn run_at_with<O: hypersio_obs::Observer>(&self, tenants: u32, obs: &mut O) -> SimReport {
-        let trace = self.trace_at(tenants);
-        Simulation::new(self.config.clone(), self.params.clone(), trace).run_with(obs)
-    }
-
-    /// Runs this spec at one tenant count with per-stage wall-clock
-    /// attribution (see [`Simulation::run_timed`]). The report is
-    /// bit-identical to [`SweepSpec::run_at`]; the timings carry the
-    /// measurement overhead of two `Instant` reads per stage transition, so
-    /// benchmarks should take their headline wall number from an untimed
-    /// run and use this one only for the per-stage breakdown.
-    pub fn run_timed_at(&self, tenants: u32) -> (SimReport, crate::model::StageTimings) {
-        let trace = self.trace_at(tenants);
-        Simulation::new(self.config.clone(), self.params.clone(), trace).run_timed()
+            .build();
+        Simulation::new(self.config.clone(), self.params.clone(), trace)
     }
 }
 
@@ -128,71 +120,30 @@ impl fmt::Display for ExperimentPoint {
     }
 }
 
-/// Runs `spec` across `tenant_counts`, returning one point per count.
+/// Runs several specs across the same tenant axis on up to `jobs` worker
+/// threads, returning `results[spec][point]` in input order.
+///
+/// Every sweep point is an independent simulation (its own trace, caches,
+/// and page tables, all derived from the spec's seed), so the points can
+/// run on any thread in any order: the output is **bit-identical** for
+/// every `jobs` value, and `jobs <= 1` runs serially on the caller's
+/// thread. The (spec × tenant-count) grid is flattened into a single task
+/// queue, so a slow series cannot serialise the sweep the way per-spec
+/// pools would: with `S` specs the largest points of all series run
+/// concurrently.
 ///
 /// # Examples
 ///
 /// ```
-/// use hypersio_sim::{sweep_tenants, SweepSpec};
+/// use hypersio_sim::{sweep_specs_parallel, SweepSpec};
 /// use hypersio_trace::WorkloadKind;
 /// use hypertrio_core::TranslationConfig;
 ///
 /// let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::base(), 5000);
-/// let points = sweep_tenants(&spec, &[2, 8]);
+/// let points = sweep_specs_parallel(&[spec], &[2, 8], 2).remove(0);
 /// assert_eq!(points.len(), 2);
 /// assert!(points[0].report.utilization >= points[1].report.utilization);
 /// ```
-pub fn sweep_tenants(spec: &SweepSpec, tenant_counts: &[u32]) -> Vec<ExperimentPoint> {
-    tenant_counts
-        .iter()
-        .map(|&tenants| ExperimentPoint {
-            tenants,
-            report: spec.run_at(tenants),
-        })
-        .collect()
-}
-
-/// Runs `spec` across `tenant_counts` on up to `jobs` worker threads.
-///
-/// Every sweep point is an independent simulation (its own trace, caches,
-/// and page tables, all derived from `spec.seed`), so the points can run on
-/// any thread in any order: the output is **bit-identical** to
-/// [`sweep_tenants`] and always in `tenant_counts` order. `jobs` is clamped
-/// to the number of points; `jobs <= 1` degenerates to the serial path.
-///
-/// # Examples
-///
-/// ```
-/// use hypersio_sim::{sweep_tenants, sweep_tenants_parallel, SweepSpec};
-/// use hypersio_trace::WorkloadKind;
-/// use hypertrio_core::TranslationConfig;
-///
-/// let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::base(), 5000);
-/// let serial = sweep_tenants(&spec, &[2, 8]);
-/// let parallel = sweep_tenants_parallel(&spec, &[2, 8], 2);
-/// for (s, p) in serial.iter().zip(&parallel) {
-///     assert_eq!(s.tenants, p.tenants);
-///     assert_eq!(s.report, p.report);
-/// }
-/// ```
-pub fn sweep_tenants_parallel(
-    spec: &SweepSpec,
-    tenant_counts: &[u32],
-    jobs: usize,
-) -> Vec<ExperimentPoint> {
-    parallel_map(tenant_counts, jobs, |&tenants| ExperimentPoint {
-        tenants,
-        report: spec.run_at(tenants),
-    })
-}
-
-/// Runs several specs across the same tenant axis on one worker pool,
-/// returning `results[spec][point]` in input order.
-///
-/// The (spec × tenant-count) grid is flattened into a single task queue, so
-/// a slow series cannot serialise the sweep the way per-spec pools would:
-/// with `S` specs the largest points of all series run concurrently.
-/// Results are bit-identical to calling [`sweep_tenants`] per spec.
 pub fn sweep_specs_parallel(
     specs: &[SweepSpec],
     tenant_counts: &[u32],
@@ -205,7 +156,7 @@ pub fn sweep_specs_parallel(
         .collect();
     let flat = parallel_map(&grid, jobs, |&(si, tenants)| ExperimentPoint {
         tenants,
-        report: specs[si].run_at(tenants),
+        report: specs[si].simulation(tenants).run(),
     });
     let mut out: Vec<Vec<ExperimentPoint>> = specs.iter().map(|_| Vec::new()).collect();
     for ((si, _), point) in grid.into_iter().zip(flat) {
@@ -218,9 +169,9 @@ pub fn sweep_specs_parallel(
 /// in input order. Work is handed out through a shared atomic cursor, so
 /// threads that draw short tasks immediately pull the next one.
 ///
-/// This is the engine underneath [`sweep_tenants_parallel`] /
-/// [`sweep_specs_parallel`], exposed for figure drivers whose rows are not
-/// plain tenant sweeps (oracle-policy rows, per-cell configurations).
+/// This is the engine underneath [`sweep_specs_parallel`] and the sharded
+/// runner, exposed for figure drivers whose rows are not plain tenant
+/// sweeps (oracle-policy rows, per-cell configurations).
 /// `f` must be a pure function of its item for the output to be
 /// reproducible; every simulation entry point in this crate is. `jobs` is
 /// clamped to `1..=items.len()`; `jobs <= 1` runs inline on the caller's
@@ -280,10 +231,15 @@ where
 mod tests {
     use super::*;
 
+    /// One spec's series from the sweep engine.
+    fn sweep(spec: &SweepSpec, counts: &[u32], jobs: usize) -> Vec<ExperimentPoint> {
+        sweep_specs_parallel(std::slice::from_ref(spec), counts, jobs).remove(0)
+    }
+
     #[test]
     fn sweep_produces_monotone_tenant_labels() {
         let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::base(), 5000);
-        let points = sweep_tenants(&spec, &[2, 4, 8]);
+        let points = sweep(&spec, &[2, 4, 8], 1);
         let labels: Vec<u32> = points.iter().map(|p| p.tenants).collect();
         assert_eq!(labels, vec![2, 4, 8]);
     }
@@ -299,7 +255,7 @@ mod tests {
     #[test]
     fn base_utilization_declines_with_tenants() {
         let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::base(), 2000);
-        let points = sweep_tenants(&spec, &[2, 64]);
+        let points = sweep(&spec, &[2, 64], 1);
         assert!(
             points[0].report.utilization > points[1].report.utilization,
             "{} vs {}",
@@ -322,7 +278,7 @@ mod tests {
     #[test]
     fn point_display_is_tabular() {
         let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::base(), 5000);
-        let point = &sweep_tenants(&spec, &[2])[0];
+        let point = &sweep(&spec, &[2], 1)[0];
         let s = point.to_string();
         assert!(s.contains("2 tenants"));
         assert!(s.contains("Gb/s"));
@@ -348,8 +304,8 @@ mod tests {
     fn instrumented_run_matches_uninstrumented() {
         let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::hypertrio(), 5000);
         let mut counts = hypersio_obs::CountingObserver::default();
-        let observed = spec.run_at_with(4, &mut counts);
-        assert_eq!(observed, spec.run_at(4));
+        let observed = spec.simulation(4).run_with(&mut counts);
+        assert_eq!(observed, spec.simulation(4).run());
         assert_eq!(
             counts.count(hypersio_obs::EventKind::PacketComplete),
             observed.packets_processed
@@ -359,8 +315,8 @@ mod tests {
     #[test]
     fn timed_run_matches_untimed_and_attributes_time() {
         let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::hypertrio(), 5000);
-        let (timed, stages) = spec.run_timed_at(4);
-        assert_eq!(timed, spec.run_at(4));
+        let (timed, stages) = spec.simulation(4).run_timed();
+        assert_eq!(timed, spec.simulation(4).run());
         assert!(
             stages.total_ns() > 0,
             "no stage time attributed: {stages:?}"
@@ -370,11 +326,12 @@ mod tests {
     #[test]
     fn parallel_handles_degenerate_inputs() {
         let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::base(), 5000);
-        assert!(sweep_tenants_parallel(&spec, &[], 4).is_empty());
+        assert!(sweep_specs_parallel(&[], &[2], 4).is_empty());
+        assert!(sweep(&spec, &[], 4).is_empty());
         // jobs = 0 is clamped to 1, more jobs than points is clamped down.
-        let one = sweep_tenants_parallel(&spec, &[2], 0);
+        let one = sweep(&spec, &[2], 0);
         assert_eq!(one.len(), 1);
-        let extra = sweep_tenants_parallel(&spec, &[2, 4], 16);
+        let extra = sweep(&spec, &[2, 4], 16);
         assert_eq!(extra.len(), 2);
         assert_eq!(extra[0].tenants, 2);
         assert_eq!(extra[1].tenants, 4);
@@ -389,7 +346,7 @@ mod tests {
         let grouped = sweep_specs_parallel(&specs, &[2, 4], 4);
         assert_eq!(grouped.len(), 2);
         for (series, spec) in grouped.iter().zip(&specs) {
-            let serial = sweep_tenants(spec, &[2, 4]);
+            let serial = sweep(spec, &[2, 4], 1);
             assert_eq!(series.len(), 2);
             for (p, s) in series.iter().zip(&serial) {
                 assert_eq!(p.tenants, s.tenants);

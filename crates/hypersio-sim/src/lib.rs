@@ -52,8 +52,7 @@ pub use ckpt::{CheckpointError, CHECKPOINT_SCHEMA};
 pub use control::{current_rss_bytes, RunControl, RunOutcome};
 pub use error::SimError;
 pub use experiment::{
-    parallel_map, sweep_specs_parallel, sweep_tenants, sweep_tenants_parallel, ExperimentPoint,
-    SweepSpec, PAPER_TENANT_COUNTS,
+    parallel_map, sweep_specs_parallel, ExperimentPoint, SweepSpec, PAPER_TENANT_COUNTS,
 };
 pub use faults::{BackoffPolicy, ChurnEvent, FaultPlan, StormEvent};
 pub use hypersio_mem::WalkGeometry;
@@ -63,10 +62,7 @@ pub use oracle::devtlb_oracle_for;
 pub use params::SimParams;
 pub use per_tenant::{FairnessSummary, PerTenantReport, TenantStat};
 pub use report::SimReport;
-pub use shard::{
-    run_sharded, run_sharded_recorded, run_sharded_recorded_supervised, run_sharded_supervised,
-    ShardSupervision,
-};
+pub use shard::{run_sharded, ShardSupervision};
 pub use sid_map::SidMap;
 pub use slot_pool::SlotPool;
 

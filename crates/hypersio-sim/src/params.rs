@@ -166,12 +166,6 @@ impl SimParams {
         self
     }
 
-    /// Uses 5-level page tables in both dimensions (35-access full walks).
-    #[deprecated(note = "use with_arch(WalkGeometry::X86Nested5)")]
-    pub fn with_five_level_tables(self) -> Self {
-        self.with_arch(hypersio_mem::WalkGeometry::X86Nested5)
-    }
-
     /// Disables translation entirely (native host-interface mode, Fig 5).
     pub fn native(mut self) -> Self {
         self.bypass_translation = true;
@@ -274,13 +268,6 @@ mod tests {
         for g in WalkGeometry::ALL {
             assert_eq!(SimParams::paper().with_arch(g).walk_geometry, g);
         }
-    }
-
-    #[test]
-    fn five_level_shim_maps_to_x86_5() {
-        #[allow(deprecated)]
-        let p = SimParams::paper().with_five_level_tables();
-        assert_eq!(p.walk_geometry, hypersio_mem::WalkGeometry::X86Nested5);
     }
 
     #[test]

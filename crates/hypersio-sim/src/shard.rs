@@ -22,7 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hypersio_cache::CacheStats;
 use hypersio_mem::IommuStats;
-use hypersio_obs::{Event, Observer, RingRecorder};
+use hypersio_obs::{Event, NullObserver, Observer, RingRecorder};
 use hypersio_trace::HyperTraceBuilder;
 use hypersio_types::{Bandwidth, Bytes, SimDuration};
 use hypertrio_core::TranslationConfig;
@@ -42,18 +42,19 @@ use crate::report::SimReport;
 /// short test trace is exhausted.
 const FAIL_AFTER_FRAMES: u64 = 8;
 
-/// Retry policy for sharded workers.
+/// Retry policy for [`run_sharded`] workers.
 ///
-/// A worker that panics (a model bug, a poisoned allocation) is contained
-/// by the supervisor instead of tearing down the whole run: the panic is
-/// caught, the shard is retried up to [`ShardSupervision::max_attempts`]
-/// times, and only when every attempt fails does the run surface
-/// [`SimError::ShardFailed`]. Plain workers resume each retry from the
-/// shard's last in-memory checkpoint (taken at the
+/// Every worker runs under `catch_unwind`, so a panic (a model bug, a
+/// poisoned allocation) never tears down the whole run; an unsupervised
+/// shard fails with [`SimError::ShardFailed`] after its one attempt.
+/// Under supervision the shard is retried up to
+/// [`ShardSupervision::max_attempts`] times, and only when every attempt
+/// fails does the run surface that error. Plain workers resume each retry
+/// from the shard's last in-memory checkpoint (taken at the
 /// [`ShardSupervision::checkpoint_every`] cadence); recorded workers
-/// restart from scratch — a half-filled event ring cannot be reconstructed
-/// mid-stream — and stamp an [`Event::ShardRetry`] at the head of the
-/// fresh ring so the event stream discloses the restart. Either way the
+/// restart from scratch — a half-filled event ring cannot be
+/// reconstructed mid-stream — and stamp an [`Event::ShardRetry`] at the
+/// head of the fresh ring so the event stream discloses the restart. Either way the
 /// merged report of a retried run is bit-identical to a run that never
 /// panicked.
 #[derive(Debug, Clone)]
@@ -97,6 +98,17 @@ impl Default for ShardSupervision {
 /// - the latency histogram is merged in shard order, and per-tenant rows
 ///   (when collected) are concatenated and sorted by global DID.
 ///
+/// With `ring_capacity` set, each shard also streams its lifecycle events
+/// into its own [`RingRecorder`] of that many events; the rings come back
+/// in shard order (empty `Vec` otherwise), and concatenating them (e.g.
+/// with [`hypersio_obs::write_jsonl_many`]) yields the deterministic
+/// merged event stream. Recording never changes the report.
+///
+/// Every worker runs under [`std::panic::catch_unwind`]. Without
+/// `supervision` a shard gets one attempt; with it, a panicking shard is
+/// retried as [`ShardSupervision`] describes. The merged report of a
+/// retried run is bit-identical to a run that never panicked.
+///
 /// The result is bit-identical for every `jobs` value. `shards = 1` is the
 /// plain unsharded run. Note that `shards > 1` legitimately changes the
 /// model (S queues instead of one), so its report is *not* expected to
@@ -106,130 +118,61 @@ impl Default for ShardSupervision {
 ///
 /// Returns [`SimError::NoShards`] when `shards` is zero,
 /// [`SimError::ShardsExceedTenants`] when a shard would own no tenants,
-/// and [`SimError::FaultPlanSharded`] when a non-empty fault plan is
+/// [`SimError::FaultPlanSharded`] when a non-empty fault plan is
 /// combined with `shards > 1` (the injector's schedule is defined over
-/// the full DID population).
+/// the full DID population), and [`SimError::ShardFailed`] when a shard
+/// panics on every attempt.
 pub fn run_sharded(
     config: &TranslationConfig,
     params: &SimParams,
     builder: &HyperTraceBuilder,
     shards: u32,
     jobs: usize,
-) -> Result<SimReport, SimError> {
-    let (report, _) = run_shards(config, params, builder, shards, jobs, None, None)?;
-    Ok(report)
-}
-
-/// [`run_sharded`] with panic containment: each worker runs under the
-/// given [`ShardSupervision`], so a shard that panics is retried from its
-/// last in-memory checkpoint instead of aborting the process.
-///
-/// # Errors
-///
-/// Everything [`run_sharded`] returns, plus [`SimError::ShardFailed`]
-/// when a shard panics on every attempt.
-pub fn run_sharded_supervised(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    supervision: &ShardSupervision,
-) -> Result<SimReport, SimError> {
-    let (report, _) = run_shards(
-        config,
-        params,
-        builder,
-        shards,
-        jobs,
-        None,
-        Some(supervision),
-    )?;
-    Ok(report)
-}
-
-/// [`run_sharded`] with event recording: each shard streams its lifecycle
-/// events into its own [`RingRecorder`] of `ring_capacity` events.
-///
-/// The rings are returned in shard order — concatenating them (e.g. with
-/// [`hypersio_obs::write_jsonl_many`]) yields the deterministic merged
-/// event stream. The report is bit-identical to [`run_sharded`]'s (the
-/// observer never changes simulated behaviour).
-///
-/// # Errors
-///
-/// The same precondition errors as [`run_sharded`].
-pub fn run_sharded_recorded(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    ring_capacity: usize,
-) -> Result<(SimReport, Vec<RingRecorder>), SimError> {
-    run_sharded_recorded_inner(config, params, builder, shards, jobs, ring_capacity, None)
-}
-
-/// [`run_sharded_recorded`] under a [`ShardSupervision`]. A retried shard
-/// restarts its recording from scratch (the ring cannot be reconstructed
-/// mid-stream) and the fresh ring opens with an [`Event::ShardRetry`], so
-/// downstream consumers can tell a restarted stream from a clean one.
-///
-/// # Errors
-///
-/// Everything [`run_sharded`] returns, plus [`SimError::ShardFailed`]
-/// when a shard panics on every attempt.
-pub fn run_sharded_recorded_supervised(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    ring_capacity: usize,
-    supervision: &ShardSupervision,
-) -> Result<(SimReport, Vec<RingRecorder>), SimError> {
-    run_sharded_recorded_inner(
-        config,
-        params,
-        builder,
-        shards,
-        jobs,
-        ring_capacity,
-        Some(supervision),
-    )
-}
-
-fn run_sharded_recorded_inner(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    ring_capacity: usize,
+    ring_capacity: Option<usize>,
     supervision: Option<&ShardSupervision>,
 ) -> Result<(SimReport, Vec<RingRecorder>), SimError> {
-    let (report, rings) = run_shards(
-        config,
-        params,
-        builder,
-        shards,
-        jobs,
-        Some(ring_capacity),
-        supervision,
-    )?;
-    let rings = rings
+    if shards == 0 {
+        return Err(SimError::NoShards);
+    }
+    let tenants = builder.tenant_count();
+    if shards > tenants {
+        return Err(SimError::ShardsExceedTenants { shards, tenants });
+    }
+    if shards > 1 && !params.fault_plan.is_none() {
+        return Err(SimError::FaultPlanSharded { shards });
+    }
+    let indices: Vec<u32> = (0..shards).collect();
+    let results = parallel_map(&indices, jobs, |&s| {
+        run_one_shard(
+            config,
+            params,
+            builder,
+            s,
+            shards,
+            ring_capacity,
+            supervision,
+        )
+    });
+    // Collecting stops at the lowest failing shard index, so the error
+    // is deterministic.
+    let (reports, rings): (Vec<SimReport>, Vec<Option<RingRecorder>>) = results
         .into_iter()
-        .map(|r| r.expect("recording was requested for every shard"))
-        .collect();
-    Ok((report, rings))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
+    Ok((
+        merge_reports(reports, shards, params),
+        rings.into_iter().flatten().collect(),
+    ))
 }
 
-/// One worker: runs shard `s` with up to `max_attempts` tries, containing
-/// panics with [`catch_unwind`]. Plain workers checkpoint at the
-/// supervision cadence and resume a retry from the last checkpoint;
-/// recorded workers restart from scratch and open the fresh ring with an
-/// [`Event::ShardRetry`].
-#[allow(clippy::too_many_arguments)]
+/// The one worker routine: runs shard `s` through
+/// [`Simulation::run_controlled`] under [`catch_unwind`], for up to
+/// `max_attempts` tries (one without supervision). Plain workers
+/// checkpoint in memory at the supervision cadence and resume a retry
+/// from the last checkpoint; recorded workers restart from scratch — the
+/// previous attempt's half-filled ring is gone with its stack — and open
+/// the fresh ring with an [`Event::ShardRetry`].
 fn run_one_shard(
     config: &TranslationConfig,
     params: &SimParams,
@@ -239,76 +182,53 @@ fn run_one_shard(
     ring_capacity: Option<usize>,
     supervision: Option<&ShardSupervision>,
 ) -> Result<(SimReport, Option<RingRecorder>), SimError> {
-    let build_sim = || {
-        let trace = builder.clone().shard(s, shards).build();
-        Simulation::new(config.clone(), params.clone(), trace)
+    let (max_attempts, checkpoint_every, fail_shard) = match supervision {
+        None => (1, None, None),
+        Some(sup) => (
+            sup.max_attempts.max(1),
+            sup.checkpoint_every.filter(|_| ring_capacity.is_none()),
+            sup.fail_shard_once,
+        ),
     };
-    let Some(sup) = supervision else {
-        // Unsupervised: the historical direct path, zero control overhead.
-        let sim = build_sim();
-        return Ok(match ring_capacity {
-            None => (sim.run(), None),
-            Some(cap) => {
-                let mut ring = RingRecorder::new(cap);
-                let report = sim.run_with(&mut ring);
-                (report, Some(ring))
-            }
-        });
-    };
-    let max_attempts = sup.max_attempts.max(1);
     // The last good checkpoint of this shard, held in memory; retries of
     // the plain path resume here instead of replaying the whole shard.
     let mut resume_point: Option<Vec<u8>> = None;
     for attempt in 1..=max_attempts {
-        let inject = sup.fail_shard_once == Some(s) && attempt == 1;
-        let resume = resume_point.clone();
+        let inject = fail_shard == Some(s) && attempt == 1;
         let mut latest: Option<Vec<u8>> = None;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sim = build_sim();
-            match ring_capacity {
-                None => {
-                    if let Some(bytes) = &resume {
-                        sim.resume_from_bytes(bytes)
-                            .expect("in-memory checkpoint from this very run");
-                    }
-                    let mut sink = |bytes: Vec<u8>| latest = Some(bytes);
-                    let mut ctl = RunControl {
-                        checkpoint_every: sup.checkpoint_every,
-                        checkpoint_sink: Some(&mut sink),
-                        panic_after_frames: inject.then_some(FAIL_AFTER_FRAMES),
-                        ..RunControl::default()
-                    };
-                    match sim.run_controlled(&mut hypersio_obs::NullObserver, &mut ctl) {
-                        RunOutcome::Completed(report) => (*report, None),
-                        RunOutcome::Interrupted { .. } => {
-                            unreachable!("no stop flag is wired into shard workers")
-                        }
-                    }
-                }
-                Some(cap) => {
-                    // A recorded retry restarts from scratch: the previous
-                    // attempt's half-filled ring is gone with its stack.
-                    // Disclose the restart as the first event.
-                    let mut ring = RingRecorder::new(cap);
+            let trace = builder.clone().shard(s, shards).build();
+            let mut sim = Simulation::new(config.clone(), params.clone(), trace);
+            if let Some(bytes) = &resume_point {
+                sim.resume_from_bytes(bytes)
+                    .expect("in-memory checkpoint from this very run");
+            }
+            let mut sink = |bytes: Vec<u8>| latest = Some(bytes);
+            let mut ctl = RunControl {
+                checkpoint_every,
+                checkpoint_sink: Some(&mut sink),
+                panic_after_frames: inject.then_some(FAIL_AFTER_FRAMES),
+                ..RunControl::default()
+            };
+            let mut ring = ring_capacity.map(RingRecorder::new);
+            let outcome = match ring.as_mut() {
+                None => sim.run_controlled(&mut NullObserver, &mut ctl),
+                Some(ring) => {
                     if attempt > 1 {
-                        ring.record(
-                            0,
-                            Event::ShardRetry {
-                                shard: s,
-                                attempt: attempt as u64,
-                            },
-                        );
+                        // Disclose the restart as the first event.
+                        let retry = Event::ShardRetry {
+                            shard: s,
+                            attempt: attempt as u64,
+                        };
+                        ring.record(0, retry);
                     }
-                    let mut ctl = RunControl {
-                        panic_after_frames: inject.then_some(FAIL_AFTER_FRAMES),
-                        ..RunControl::default()
-                    };
-                    match sim.run_controlled(&mut ring, &mut ctl) {
-                        RunOutcome::Completed(report) => (*report, Some(ring)),
-                        RunOutcome::Interrupted { .. } => {
-                            unreachable!("no stop flag is wired into shard workers")
-                        }
-                    }
+                    sim.run_controlled(ring, &mut ctl)
+                }
+            };
+            match outcome {
+                RunOutcome::Completed(report) => (*report, ring),
+                RunOutcome::Interrupted { .. } => {
+                    unreachable!("no stop flag is wired into shard workers")
                 }
             }
         }));
@@ -325,55 +245,6 @@ fn run_one_shard(
         shard: s,
         attempts: max_attempts,
     })
-}
-
-/// Shared driver: validates, runs the shards on the worker pool, merges.
-fn run_shards(
-    config: &TranslationConfig,
-    params: &SimParams,
-    builder: &HyperTraceBuilder,
-    shards: u32,
-    jobs: usize,
-    ring_capacity: Option<usize>,
-    supervision: Option<&ShardSupervision>,
-) -> Result<(SimReport, Vec<Option<RingRecorder>>), SimError> {
-    if shards == 0 {
-        return Err(SimError::NoShards);
-    }
-    let tenants = builder.tenant_count();
-    if shards > tenants {
-        return Err(SimError::ShardsExceedTenants { shards, tenants });
-    }
-    if shards > 1 && !params.fault_plan.is_none() {
-        return Err(SimError::FaultPlanSharded { shards });
-    }
-    let indices: Vec<u32> = (0..shards).collect();
-    let mut results: Vec<Result<(SimReport, Option<RingRecorder>), SimError>> =
-        parallel_map(&indices, jobs, |&s| {
-            run_one_shard(
-                config,
-                params,
-                builder,
-                s,
-                shards,
-                ring_capacity,
-                supervision,
-            )
-        });
-    // Fail on the lowest failing shard index for a deterministic error.
-    if let Some(pos) = results.iter().position(|r| r.is_err()) {
-        let err = results
-            .swap_remove(pos)
-            .expect_err("position() found an Err here");
-        return Err(err);
-    }
-    let mut results: Vec<(SimReport, Option<RingRecorder>)> = results
-        .into_iter()
-        .map(|r| r.expect("error case returned above"))
-        .collect();
-    let rings: Vec<Option<RingRecorder>> = results.iter_mut().map(|(_, r)| r.take()).collect();
-    let reports: Vec<SimReport> = results.into_iter().map(|(r, _)| r).collect();
-    Ok((merge_reports(reports, shards, params), rings))
 }
 
 /// Merges per-shard reports in shard-index order (see [`run_sharded`] for
@@ -498,15 +369,30 @@ mod tests {
             .seed(11)
     }
 
+    /// An unrecorded, unsupervised sharded run's merged report.
+    fn plain(
+        config: &TranslationConfig,
+        params: &SimParams,
+        b: &HyperTraceBuilder,
+        shards: u32,
+        jobs: usize,
+    ) -> SimReport {
+        run_sharded(config, params, b, shards, jobs, None, None)
+            .expect("valid run")
+            .0
+    }
+
     #[test]
     fn single_shard_is_the_unsharded_run() {
         let b = builder(16, 2000);
-        let sharded = run_sharded(
+        let (sharded, _) = run_sharded(
             &TranslationConfig::hypertrio(),
             &SimParams::paper(),
             &b,
             1,
             1,
+            None,
+            None,
         )
         .expect("valid single-shard run");
         let plain = Simulation::new(
@@ -523,8 +409,8 @@ mod tests {
         let b = builder(16, 1000);
         let config = TranslationConfig::hypertrio();
         let params = SimParams::paper().with_per_tenant();
-        let serial = run_sharded(&config, &params, &b, 4, 1).expect("valid run");
-        let threaded = run_sharded(&config, &params, &b, 4, 3).expect("valid run");
+        let serial = plain(&config, &params, &b, 4, 1);
+        let threaded = plain(&config, &params, &b, 4, 3);
         assert_eq!(serial, threaded);
     }
 
@@ -533,7 +419,7 @@ mod tests {
         let b = builder(8, 1000);
         let config = TranslationConfig::base();
         let params = SimParams::paper();
-        let merged = run_sharded(&config, &params, &b, 2, 1).expect("valid run");
+        let merged = plain(&config, &params, &b, 2, 1);
         let shard0 = Simulation::new(
             config.clone(),
             params.clone(),
@@ -566,14 +452,13 @@ mod tests {
     #[test]
     fn per_tenant_rows_cover_all_global_dids_in_order() {
         let b = builder(9, 1000);
-        let merged = run_sharded(
+        let merged = plain(
             &TranslationConfig::hypertrio(),
             &SimParams::paper().with_per_tenant(),
             &b,
             3,
             2,
-        )
-        .expect("valid run");
+        );
         let pt = merged.per_tenant.as_ref().expect("per-tenant opted in");
         let dids: Vec<u32> = pt.tenants.iter().map(|t| t.did).collect();
         assert_eq!(dids, (0..9).collect::<Vec<u32>>());
@@ -586,10 +471,9 @@ mod tests {
         let b = builder(8, 1000);
         let config = TranslationConfig::hypertrio();
         let params = SimParams::paper();
-        let plain = run_sharded(&config, &params, &b, 2, 2).expect("valid run");
         let (recorded, rings) =
-            run_sharded_recorded(&config, &params, &b, 2, 2, 4096).expect("valid run");
-        assert_eq!(plain, recorded);
+            run_sharded(&config, &params, &b, 2, 2, Some(4096), None).expect("valid run");
+        assert_eq!(plain(&config, &params, &b, 2, 2), recorded);
         assert_eq!(rings.len(), 2);
         assert!(rings.iter().all(|r| !r.is_empty()));
     }
@@ -602,7 +486,7 @@ mod tests {
         // merged achieved bandwidth must exceed what one link can carry.
         let b = builder(4, 1).requests_per_tenant(3000);
         let params = SimParams::paper().with_warmup(500);
-        let merged = run_sharded(&TranslationConfig::base(), &params, &b, 2, 1).expect("valid run");
+        let merged = plain(&TranslationConfig::base(), &params, &b, 2, 1);
         let one_queue = Simulation::new(
             TranslationConfig::base(),
             params.clone(),
@@ -634,6 +518,8 @@ mod tests {
             &builder(8, 1000),
             2,
             1,
+            None,
+            None,
         )
         .expect_err("fault plans must reject multiple shards");
         assert_eq!(err, SimError::FaultPlanSharded { shards: 2 });
@@ -643,10 +529,10 @@ mod tests {
     fn precondition_violations_are_typed_errors() {
         let config = TranslationConfig::base();
         let params = SimParams::paper();
-        let err = run_sharded(&config, &params, &builder(8, 1000), 0, 1)
+        let err = run_sharded(&config, &params, &builder(8, 1000), 0, 1, None, None)
             .expect_err("zero shards is invalid");
         assert_eq!(err, SimError::NoShards);
-        let err = run_sharded(&config, &params, &builder(4, 1000), 5, 1)
+        let err = run_sharded(&config, &params, &builder(4, 1000), 5, 1, None, None)
             .expect_err("a shard would own no tenants");
         assert_eq!(
             err,
@@ -662,7 +548,7 @@ mod tests {
         let b = builder(8, 1000);
         let config = TranslationConfig::hypertrio();
         let params = SimParams::paper();
-        let clean = run_sharded(&config, &params, &b, 2, 1).expect("valid run");
+        let clean = plain(&config, &params, &b, 2, 1);
         let sup = ShardSupervision {
             max_attempts: 2,
             // ~4 frames apart at this scale: the retry resumes from a real
@@ -670,7 +556,7 @@ mod tests {
             checkpoint_every: Some(SimDuration::from_us(1)),
             fail_shard_once: Some(1),
         };
-        let survived = run_sharded_supervised(&config, &params, &b, 2, 1, &sup)
+        let (survived, _) = run_sharded(&config, &params, &b, 2, 1, None, Some(&sup))
             .expect("one panic is within the retry budget");
         assert_eq!(clean, survived);
     }
@@ -683,13 +569,14 @@ mod tests {
             checkpoint_every: Some(SimDuration::from_us(1)),
             fail_shard_once: Some(0),
         };
-        let err = run_sharded_supervised(
+        let err = run_sharded(
             &TranslationConfig::hypertrio(),
             &SimParams::paper(),
             &b,
             2,
             2,
-            &sup,
+            None,
+            Some(&sup),
         )
         .expect_err("the failing shard has no retry budget");
         assert_eq!(
@@ -707,15 +594,14 @@ mod tests {
         let config = TranslationConfig::hypertrio();
         let params = SimParams::paper();
         let (clean, clean_rings) =
-            run_sharded_recorded(&config, &params, &b, 2, 1, 4096).expect("valid run");
+            run_sharded(&config, &params, &b, 2, 1, Some(4096), None).expect("valid run");
         let sup = ShardSupervision {
             max_attempts: 3,
             checkpoint_every: None,
             fail_shard_once: Some(0),
         };
-        let (survived, rings) =
-            run_sharded_recorded_supervised(&config, &params, &b, 2, 1, 4096, &sup)
-                .expect("one panic is within the retry budget");
+        let (survived, rings) = run_sharded(&config, &params, &b, 2, 1, Some(4096), Some(&sup))
+            .expect("one panic is within the retry budget");
         assert_eq!(clean, survived);
         // The retried shard's ring opens with the ShardRetry marker; apart
         // from that one extra event the streams are identical.
@@ -742,13 +628,35 @@ mod tests {
         let b = builder(8, 1000);
         let config = TranslationConfig::base();
         let params = SimParams::paper();
-        let plain = run_sharded(&config, &params, &b, 2, 1).expect("valid run");
         let sup = ShardSupervision {
             checkpoint_every: Some(SimDuration::from_us(3)),
             ..ShardSupervision::default()
         };
-        let supervised =
-            run_sharded_supervised(&config, &params, &b, 2, 1, &sup).expect("valid run");
-        assert_eq!(plain, supervised);
+        let (supervised, _) =
+            run_sharded(&config, &params, &b, 2, 1, None, Some(&sup)).expect("valid run");
+        assert_eq!(plain(&config, &params, &b, 2, 1), supervised);
+    }
+
+    #[test]
+    fn an_unsupervised_panic_is_a_shard_failed_error() {
+        // A zero-walker pool panics at construction, inside the worker.
+        let params = SimParams::paper().with_iommu_walkers(0);
+        let err = run_sharded(
+            &TranslationConfig::base(),
+            &params,
+            &builder(8, 1000),
+            2,
+            1,
+            None,
+            None,
+        )
+        .expect_err("every shard panics");
+        assert_eq!(
+            err,
+            SimError::ShardFailed {
+                shard: 0,
+                attempts: 1
+            }
+        );
     }
 }

@@ -1,22 +1,32 @@
 //! The parallel sweep engine's bit-identity guarantee: for any job count,
-//! [`sweep_tenants_parallel`] must return element-wise identical results to
-//! the serial [`sweep_tenants`] — every field of every report, not just the
+//! [`sweep_specs_parallel`] must return element-wise identical results to
+//! running each point serially — every field of every report, not just the
 //! headline bandwidth. The figure binaries rely on this to make `JOBS` a
 //! pure wall-clock knob that can never change published numbers.
 
-use hypersio_sim::{
-    parallel_map, sweep_specs_parallel, sweep_tenants, sweep_tenants_parallel, SimParams, SweepSpec,
-};
+use hypersio_sim::{parallel_map, sweep_specs_parallel, ExperimentPoint, SimParams, SweepSpec};
 use hypersio_trace::{Interleaving, WorkloadKind};
 use hypersio_types::SplitMix64;
 use hypertrio_core::TranslationConfig;
 
+/// The reference: every point simulated in turn on this thread.
+fn sweep_serial(spec: &SweepSpec, counts: &[u32]) -> Vec<ExperimentPoint> {
+    counts
+        .iter()
+        .map(|&tenants| ExperimentPoint {
+            tenants,
+            report: spec.simulation(tenants).run(),
+        })
+        .collect()
+}
+
+/// One spec's series from the sweep engine.
+fn sweep(spec: &SweepSpec, counts: &[u32], jobs: usize) -> Vec<ExperimentPoint> {
+    sweep_specs_parallel(std::slice::from_ref(spec), counts, jobs).remove(0)
+}
+
 /// Asserts full element-wise equality between two sweep results.
-fn assert_points_identical(
-    serial: &[hypersio_sim::ExperimentPoint],
-    parallel: &[hypersio_sim::ExperimentPoint],
-    label: &str,
-) {
+fn assert_points_identical(serial: &[ExperimentPoint], parallel: &[ExperimentPoint], label: &str) {
     assert_eq!(serial.len(), parallel.len(), "{label}: length");
     for (s, p) in serial.iter().zip(parallel) {
         assert_eq!(s.tenants, p.tenants, "{label}: tenant order");
@@ -57,9 +67,9 @@ fn parallel_equals_serial_for_two_workloads() {
     ] {
         let spec =
             SweepSpec::new(workload, config, 2000).with_params(SimParams::paper().with_warmup(500));
-        let serial = sweep_tenants(&spec, &counts);
+        let serial = sweep_serial(&spec, &counts);
         for jobs in [1usize, 2, 4, 7] {
-            let parallel = sweep_tenants_parallel(&spec, &counts, jobs);
+            let parallel = sweep(&spec, &counts, jobs);
             assert_points_identical(&serial, &parallel, &format!("{workload}/jobs={jobs}"));
         }
     }
@@ -79,7 +89,7 @@ fn specs_parallel_equals_serial_per_spec() {
     ];
     let grouped = sweep_specs_parallel(&specs, &counts, 4);
     for (series, spec) in grouped.iter().zip(&specs) {
-        let serial = sweep_tenants(spec, &counts);
+        let serial = sweep_serial(spec, &counts);
         assert_points_identical(&serial, series, &spec.workload.to_string());
     }
 }
@@ -119,8 +129,8 @@ fn random_small_tenant_sets_are_bit_identical() {
             }
         }
         let jobs = 1 + rng.index(6);
-        let serial = sweep_tenants(&spec, &counts);
-        let parallel = sweep_tenants_parallel(&spec, &counts, jobs);
+        let serial = sweep_serial(&spec, &counts);
+        let parallel = sweep(&spec, &counts, jobs);
         assert_points_identical(
             &serial,
             &parallel,

@@ -16,7 +16,7 @@
 //! - `MAX_TENANTS` (default 256): largest tenant count in the sweep.
 
 use hypertrio::core::TranslationConfig;
-use hypertrio::sim::{sweep_tenants, SweepSpec};
+use hypertrio::sim::{sweep_specs_parallel, SweepSpec};
 use hypertrio::trace::WorkloadKind;
 
 fn env_u64(name: &str, default: u64) -> u64 {
@@ -43,9 +43,8 @@ fn main() {
         );
         let base = SweepSpec::new(workload, TranslationConfig::base(), scale);
         let ht = SweepSpec::new(workload, TranslationConfig::hypertrio(), scale);
-        let base_points = sweep_tenants(&base, &counts);
-        let ht_points = sweep_tenants(&ht, &counts);
-        for (b, h) in base_points.iter().zip(&ht_points) {
+        let series = sweep_specs_parallel(&[base, ht], &counts, 1);
+        for (b, h) in series[0].iter().zip(&series[1]) {
             println!(
                 "{:>8} {:>14.2} {:>14.2}",
                 b.tenants,

@@ -3,7 +3,7 @@
 
 use hypertrio::cache::PolicyKind;
 use hypertrio::core::TranslationConfig;
-use hypertrio::sim::{devtlb_oracle_for, SimParams, Simulation, SweepSpec};
+use hypertrio::sim::{devtlb_oracle_for, sweep_specs_parallel, SimParams, Simulation, SweepSpec};
 use hypertrio::trace::{HyperTraceBuilder, Interleaving, WorkloadKind};
 
 fn trace(kind: WorkloadKind, tenants: u32, scale: u64) -> hypertrio::trace::HyperTrace {
@@ -119,7 +119,7 @@ fn native_mode_saturates_any_tenant_count() {
 #[test]
 fn sweep_spec_reports_are_self_consistent() {
     let spec = SweepSpec::new(WorkloadKind::Iperf3, TranslationConfig::hypertrio(), 800);
-    for point in hypertrio::sim::sweep_tenants(&spec, &[4, 32]) {
+    for point in sweep_specs_parallel(&[spec], &[4, 32], 2).remove(0) {
         let r = &point.report;
         assert_eq!(r.tenants, point.tenants);
         assert_eq!(r.translation_requests, 3 * r.packets_processed);
