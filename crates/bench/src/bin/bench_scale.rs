@@ -3,11 +3,12 @@
 //! The figure binaries stop at the paper's 1024 tenants; this harness
 //! pushes the same engine to a million. Each point runs the HyperTRIO
 //! configuration over a streaming trace with a fixed number of requests
-//! per tenant and a lazy, LRU-evicted page-table pool capped at
-//! `BUDGET_MB`, then records wall-clock throughput and the process peak
-//! RSS. The output (`BENCH_scale.json`, schema `bench_scale/v1`) is the
-//! committed evidence that host memory stays bounded by the budget while
-//! the tenant count grows three orders of magnitude.
+//! per tenant and a lazy, LRU-evicted pool of tenant spaces (views of one
+//! canonical table pair) whose cap is derived from `BUDGET_MB`, then
+//! records wall-clock throughput and the process peak RSS. The output
+//! (`BENCH_scale.json`, schema `bench_scale/v1`) is the committed evidence
+//! that host memory stays bounded while the tenant count grows three
+//! orders of magnitude.
 //!
 //! The points run smallest-first and the schema validator enforces that
 //! order: the peak-RSS probe is Linux's `VmHWM` watermark, which is

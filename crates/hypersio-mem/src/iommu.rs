@@ -348,9 +348,13 @@ impl Iommu {
     /// Sheds reclaimable memory under host pressure: the walk memo is
     /// dropped (its entries are pure-function results, rebuilt on demand)
     /// and a lazy space pool's residency cap is halved with LRU eviction
-    /// ([`SpacePool::shrink_residency`]). Both actions are transparent to
-    /// the model — a degraded run produces bit-identical translations.
-    /// Returns `(spaces evicted, memo entries dropped)`.
+    /// ([`SpacePool::shrink_residency`]). Resident spaces are views of the
+    /// canonical build and own no table, so the eviction frees little
+    /// beyond the pool's bookkeeping; it still halves the cap, so the pool
+    /// counters move exactly as they did when each space held a private
+    /// table. Both actions are transparent to the model — a degraded run
+    /// produces bit-identical translations. Returns `(spaces evicted, memo
+    /// entries dropped)`.
     pub fn relieve_memory_pressure(&mut self) -> (u64, u64) {
         let (guest, nested) = self.memo.len();
         self.memo.clear();
@@ -376,7 +380,7 @@ impl Iommu {
 
     /// Restores state captured by [`Self::snapshot_words`] into a freshly
     /// constructed IOMMU of the same configuration. Lazy tenants resident
-    /// at the checkpoint get their spaces re-stamped and their context
+    /// at the checkpoint get their views re-stamped and their context
     /// entries re-installed; the walk memo starts empty. Returns `None`
     /// on a corrupt stream or a configuration mismatch.
     pub fn restore_words(&mut self, r: &mut hypersio_cache::WordReader<'_>) -> Option<()> {
@@ -403,8 +407,8 @@ impl Iommu {
         Some(())
     }
 
-    /// Migrates tenant `did` to host slab `slab`: the host table is
-    /// re-stamped at the new location ([`TenantSpace::migrate_to_slab`]),
+    /// Migrates tenant `did` to host slab `slab`: the tenant's view of the
+    /// host table moves to the new location ([`TenantSpace::migrate_to_slab`]),
     /// the cached context entry is invalidated (the hypervisor rewrites it
     /// during the hand-over), and every walk-cache entry of the DID is shot
     /// down — the cached nested translations point into the old slab.

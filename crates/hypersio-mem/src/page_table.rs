@@ -182,6 +182,26 @@ impl InlineWalkPath {
         self.target_base + (va & self.size.offset_mask())
     }
 
+    /// Returns the path with every owning-space address — PTE addresses,
+    /// `Table` pointers, `Leaf` targets and the frame base — shifted by
+    /// `delta` (wrapping): the walk of a table placed `delta` higher.
+    pub(crate) fn shifted(mut self, delta: u64) -> InlineWalkPath {
+        for step in 0..self.len as usize {
+            self.pte_addrs[step] = self.pte_addrs[step].wrapping_add(delta);
+            self.ptes[step] = match self.ptes[step] {
+                Pte::Table { next } => Pte::Table {
+                    next: next.wrapping_add(delta),
+                },
+                Pte::Leaf { target, size } => Pte::Leaf {
+                    target: target.wrapping_add(delta),
+                    size,
+                },
+            };
+        }
+        self.target_base = self.target_base.wrapping_add(delta);
+        self
+    }
+
     /// Copies the path into a heap-backed [`WalkPath`].
     pub fn to_walk_path(&self) -> WalkPath {
         WalkPath {
@@ -455,10 +475,11 @@ impl RadixTable {
     /// `delta` (wrapping). The radix keys (the translated virtual
     /// addresses) are untouched.
     ///
-    /// This is the cheap way to stamp out per-tenant tables whose layout
-    /// is affine in the tenant ID: build the canonical table once, then
-    /// rebase it into each tenant's slab instead of replaying every `map`.
-    pub fn rebased(&self, delta: u64) -> RadixTable {
+    /// The materialised oracle for [`InlineWalkPath::shifted`]: tenant
+    /// spaces never copy a table, they view the canonical one and shift
+    /// walk results, and the tests check that against this copy.
+    #[cfg(test)]
+    pub(crate) fn rebased(&self, delta: u64) -> RadixTable {
         // A PTE's address is `node_base + index * PTE_BYTES`; shifting the
         // node base by `delta` shifts the PTE address by exactly `delta`.
         let entries = self
@@ -730,6 +751,23 @@ mod tests {
         let pb: Vec<u64> = shifted.walk(0xbbe0_1234).unwrap().pte_addrs;
         for (x, y) in pa.iter().zip(&pb) {
             assert_eq!(x + DELTA, *y);
+        }
+    }
+
+    #[test]
+    fn shifted_walks_match_the_rebased_table() {
+        const DELTA: u64 = 0x100_0000;
+        let mut alloc = bump(0x10_0000);
+        let mut t = RadixTable::with_root_widening(4, 2, &mut alloc);
+        t.map(0xbbe0_0000, 0x4000_0000, PageSize::Size2M, &mut alloc)
+            .unwrap();
+        t.map(0x3480_0000, 0x7000_0000, PageSize::Size4K, &mut alloc)
+            .unwrap();
+        let oracle = t.rebased(DELTA);
+        for va in [0xbbe0_1234u64, 0x3480_0042] {
+            let path = t.walk_inline(va).unwrap();
+            assert_eq!(path.shifted(DELTA), oracle.walk_inline(va).unwrap());
+            assert_eq!(path.shifted(0), path);
         }
     }
 

@@ -125,12 +125,13 @@ impl TenantSpaceBuilder {
     /// one uniform stride apart. (The stride is a multiple of every page
     /// alignment that fits in a slab, so alignment padding is identical
     /// across DIDs too.) This method exploits that: it replays the page
-    /// inventory once to build the canonical DID-0 space, then stamps out
-    /// each requested tenant by cloning the guest table and
-    /// [rebasing](RadixTable::rebased) the host table — turning the
-    /// O(tenants × pages) construction into O(pages + tenants × nodes).
+    /// inventory once to build the canonical DID-0 space, then
+    /// [stamps](TenantSpace::stamp) each requested tenant as a view of it
+    /// — turning the O(tenants × pages) construction into
+    /// O(pages + tenants), with one pair of tables in memory.
     ///
-    /// The result is bit-identical to calling `build()` once per DID.
+    /// Every space translates and walks exactly as `build()` for its DID
+    /// would: same lookups, same host walk paths.
     ///
     /// # Panics
     ///
@@ -238,7 +239,7 @@ impl TenantSpaceBuilder {
             did,
             geometry: self.geometry,
             guest: Arc::new(guest),
-            host,
+            host: Arc::new(host),
             host_slab: did.raw() as u64,
             layout_id: next_layout_id(),
             host_delta: 0,
@@ -263,7 +264,12 @@ pub struct TenantSpace {
     /// §IV-D) and never mutated after construction, so a million tenants
     /// reference one copy.
     guest: Arc<RadixTable>,
-    host: RadixTable,
+    /// Host table in *canonical* coordinates, shared the same way: every
+    /// sibling's host table is this one shifted by its `host_delta`, so a
+    /// space is a view and never owns a copy. The shift is applied only
+    /// where host-side results leave the space ([`TenantSpace::lookup`],
+    /// [`TenantSpace::host_walk_inline`]).
+    host: Arc<RadixTable>,
     /// Index of the host-physical slab the host table currently lives in
     /// (`did` at build time; bumped by [`TenantSpace::migrate_to_slab`]).
     host_slab: u64,
@@ -271,9 +277,9 @@ pub struct TenantSpace {
     /// Spaces produced by one [`TenantSpaceBuilder::build_many`] call share
     /// an id; each [`TenantSpaceBuilder::build`] gets a fresh one.
     layout_id: u64,
-    /// Offset of every host-side address relative to the canonical layout
-    /// (`did * slab` at stamp-out time, adjusted by each migration). The
-    /// guest dimension is canonical as-is.
+    /// Offset of every host-side address relative to the shared `host`
+    /// table (`slab * HOST_SLAB_PER_TENANT` at stamp-out time, adjusted by
+    /// each migration). The guest dimension is canonical as-is.
     host_delta: u64,
     page_count: usize,
 }
@@ -307,51 +313,66 @@ impl TenantSpace {
     /// Relocates the tenant's host-side memory to slab `slab`, as a VM
     /// migration does: every host frame and host table node moves to the
     /// new slab while the guest dimension (same OS, same driver, same
-    /// gIOVAs and gPAs) is untouched. Uses [`RadixTable::rebased`] to
-    /// re-stamp the host table in one pass. Callers must shoot down every
-    /// cached translation of this DID afterwards — the old hPAs are stale.
+    /// gIOVAs and gPAs) is untouched. Only the view's offset changes; no
+    /// table is copied. Callers must shoot down every cached translation
+    /// of this DID afterwards — the old hPAs are stale.
     pub fn migrate_to_slab(&mut self, slab: u64) {
         let delta = slab
             .wrapping_sub(self.host_slab)
             .wrapping_mul(HOST_SLAB_PER_TENANT);
-        self.host = self.host.rebased(delta);
         self.host_delta = self.host_delta.wrapping_add(delta);
         self.host_slab = slab;
     }
 
+    /// Whether this space can be [stamped](TenantSpace::stamp) from: its
+    /// host table sits in slab 0 with no offset, as a DID-0 build that was
+    /// never migrated does.
+    pub(crate) fn is_canonical(&self) -> bool {
+        self.host_slab == 0 && self.host_delta == 0
+    }
+
     /// Stamps out the sibling space for `did` hosted in slab `slab` from
-    /// this *canonical* (unrebased, slab-0) space: the guest table is
-    /// shared by reference, the host table is
-    /// [rebased](RadixTable::rebased) into the slab, and the layout
+    /// this *canonical* (DID-0, slab-0) space: both tables are shared by
+    /// reference, the host side is offset into the slab, and the layout
     /// identity is inherited — exactly what
     /// [`TenantSpaceBuilder::build_many`] produces for `slab == did`, and
-    /// what a lazy pool rebuilds on first touch or after eviction.
+    /// what a lazy pool rebuilds on first touch or after eviction. It
+    /// costs two reference-count increments, whatever the table size.
     ///
     /// Stamping is deterministic: the same `(canonical, did, slab)` always
-    /// yields a bit-identical space, which is why eviction plus rebuild
-    /// cannot change any translation.
+    /// yields the same translations, which is why eviction plus rebuild
+    /// cannot change any of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless this space is canonical (`host_slab() == 0` and
+    /// `host_delta() == 0`): a view of any other build would place every
+    /// tenant in the wrong slab.
     pub fn stamp(&self, did: Did, slab: u64) -> TenantSpace {
-        debug_assert_eq!(
-            self.host_delta, 0,
-            "stamp from the canonical build, not a rebased sibling"
+        assert!(
+            self.is_canonical(),
+            "stamp from the canonical (DID 0, slab 0) build, not {} in slab {}",
+            self.did,
+            self.host_slab
         );
-        let delta = slab.wrapping_mul(HOST_SLAB_PER_TENANT);
         TenantSpace {
             did,
             geometry: self.geometry,
             guest: Arc::clone(&self.guest),
-            host: self.host.rebased(delta),
+            host: Arc::clone(&self.host),
             host_slab: slab,
             layout_id: self.layout_id,
-            host_delta: delta,
+            host_delta: slab.wrapping_mul(HOST_SLAB_PER_TENANT),
             page_count: self.page_count,
         }
     }
 
-    /// Rough heap footprint of this space's *per-tenant* state — the host
-    /// table's sparse maps. The guest table is excluded: it is shared
-    /// across every sibling stamped from one canonical build. Used to
-    /// convert a host-memory budget into a resident-space cap.
+    /// Rough heap footprint of one *private* host table of this layout —
+    /// the host table's sparse maps. A stamped space is a view and owns no
+    /// table, so this is not what it holds: it is the size of the table it
+    /// would hold if materialised, kept as the unit a host-memory budget
+    /// is divided by to give a lazy pool's resident-space cap, so the
+    /// cap, the pool counters and checkpoints keep their values.
     pub fn per_tenant_bytes(&self) -> u64 {
         // FxHashMap entry ≈ key + value + capacity slack; 64 B/PTE and
         // 16 B/node-address are deliberately generous.
@@ -361,8 +382,8 @@ impl TenantSpace {
     /// Returns the identity of the canonical layout this space shares with
     /// its [`TenantSpaceBuilder::build_many`] siblings.
     ///
-    /// Two spaces with the same id have bit-identical guest tables and host
-    /// tables that differ only by a uniform [`TenantSpace::host_delta`]
+    /// Two spaces with the same id share one guest table and one host
+    /// table and differ only by a uniform [`TenantSpace::host_delta`]
     /// shift — the invariant [`crate::WalkMemo`] relies on to share
     /// functional walk results across tenants.
     pub fn layout_id(&self) -> u64 {
@@ -370,7 +391,7 @@ impl TenantSpace {
     }
 
     /// Returns the uniform offset of this space's host-side addresses from
-    /// the canonical layout's (wrapping arithmetic).
+    /// the shared host table's (wrapping arithmetic).
     pub fn host_delta(&self) -> u64 {
         self.host_delta
     }
@@ -378,11 +399,6 @@ impl TenantSpace {
     /// Returns the guest table (gIOVA → gPA).
     pub fn guest_table(&self) -> &RadixTable {
         &self.guest
-    }
-
-    /// Returns the host table (gPA → hPA).
-    pub fn host_table(&self) -> &RadixTable {
-        &self.host
     }
 
     /// Walks the guest table for `iova`.
@@ -401,7 +417,7 @@ impl TenantSpace {
     /// Returns the host-table error if `gpa` is unmapped (which would be a
     /// builder bug for addresses produced by [`TenantSpace::guest_walk`]).
     pub fn host_walk(&self, gpa: GPa) -> Result<WalkPath, PageTableError> {
-        self.host.walk(gpa.raw())
+        self.host_walk_inline(gpa).map(|path| path.to_walk_path())
     }
 
     /// Allocation-free [`TenantSpace::guest_walk`] (the walker's hot path).
@@ -414,12 +430,16 @@ impl TenantSpace {
     }
 
     /// Allocation-free [`TenantSpace::host_walk`] (the walker's hot path).
+    /// The path is this tenant's: every host address in it is shifted by
+    /// [`TenantSpace::host_delta`].
     ///
     /// # Errors
     ///
     /// Returns the host-table error if `gpa` is unmapped.
     pub fn host_walk_inline(&self, gpa: GPa) -> Result<InlineWalkPath, PageTableError> {
-        self.host.walk_inline(gpa.raw())
+        self.host
+            .walk_inline(gpa.raw())
+            .map(|path| path.shifted(self.host_delta))
     }
 
     /// Full (uncached) functional translation: gIOVA → hPA, with the page
@@ -427,7 +447,7 @@ impl TenantSpace {
     pub fn lookup(&self, iova: GIova) -> Option<(HPa, PageSize)> {
         let gpath = self.guest.walk_inline(iova.raw()).ok()?;
         let gpa = gpath.translate(iova.raw());
-        let hpa = self.host.translate(gpa)?;
+        let hpa = self.host.translate(gpa)?.wrapping_add(self.host_delta);
         Some((HPa::new(hpa), gpath.size))
     }
 }
@@ -447,7 +467,8 @@ impl fmt::Debug for TenantSpace {
 mod tests {
     use super::*;
 
-    fn paper_tenant(did: u32) -> TenantSpace {
+    /// The paper's per-tenant inventory (1 + 32 × 2 MB + 70 × 4 KB pages).
+    fn paper_builder(did: u32) -> TenantSpaceBuilder {
         let mut b = TenantSpace::builder(Did::new(did));
         b.map(GIova::new(0x3480_0000), PageSize::Size4K);
         for i in 0..32u64 {
@@ -456,7 +477,53 @@ mod tests {
         for i in 0..70u64 {
             b.map(GIova::new(0xf000_0000 + i * 0x1000), PageSize::Size4K);
         }
-        b.build()
+        b
+    }
+
+    fn paper_tenant(did: u32) -> TenantSpace {
+        paper_builder(did).build()
+    }
+
+    /// Asserts that `view` translates and walks exactly like `per_did` (a
+    /// fresh per-DID build at the view's slab) and like the canonical host
+    /// table materialised at that slab with [`RadixTable::rebased`]: the
+    /// lookup of every page in `pages`, and the host walk (PTE addresses,
+    /// PTEs, target) of every gPA a nested walk touches — each guest table
+    /// node and each mapped page's frame.
+    fn assert_view_matches(
+        view: &TenantSpace,
+        per_did: &TenantSpace,
+        canonical: &TenantSpace,
+        pages: &[(GIova, PageSize)],
+    ) {
+        let slab = per_did.host_slab();
+        assert_eq!(view.host_slab(), slab);
+        assert_eq!(view.geometry(), per_did.geometry());
+        assert_eq!(view.page_count(), per_did.page_count());
+        assert_eq!(view.guest_table(), per_did.guest_table(), "guest table");
+        let oracle = canonical.host.rebased(slab * HOST_SLAB_PER_TENANT);
+        let mut gpas: Vec<u64> = view.guest_table().node_addrs().collect();
+        for &(iova, _) in pages {
+            let got = view.lookup(iova).expect("mapped page");
+            assert_eq!(
+                Some(got),
+                per_did.lookup(iova),
+                "lookup {iova}, slab {slab}"
+            );
+            let gpa = view.guest_walk_inline(iova).unwrap().translate(iova.raw());
+            assert_eq!(Some(got.0.raw()), oracle.translate(gpa), "oracle {iova}");
+            gpas.push(gpa);
+        }
+        for gpa in gpas {
+            let got = view.host_walk_inline(GPa::new(gpa)).unwrap();
+            let want = per_did.host_walk_inline(GPa::new(gpa)).unwrap();
+            assert_eq!(
+                got, want,
+                "host walk of {gpa:#x} vs per-DID build, slab {slab}"
+            );
+            let want = oracle.walk_inline(gpa).unwrap();
+            assert_eq!(got, want, "host walk of {gpa:#x} vs oracle, slab {slab}");
+        }
     }
 
     #[test]
@@ -554,48 +621,58 @@ mod tests {
 
     #[test]
     fn build_many_is_bit_identical_to_per_did_builds() {
-        let mut b = TenantSpace::builder(Did::new(0));
-        b.map(GIova::new(0x3480_0000), PageSize::Size4K);
-        for i in 0..32u64 {
-            b.map(GIova::new(0xbbe0_0000 + i * 0x20_0000), PageSize::Size2M);
-        }
-        for i in 0..70u64 {
-            b.map(GIova::new(0xf000_0000 + i * 0x1000), PageSize::Size4K);
-        }
+        let b = paper_builder(0);
+        let canonical = b.build();
         let dids = [Did::new(0), Did::new(1), Did::new(7), Did::new(1023)];
         let fleet = b.build_many(&dids);
         assert_eq!(fleet.len(), dids.len());
         for (space, &did) in fleet.iter().zip(&dids) {
-            let mut per = TenantSpace::builder(did);
-            per.map(GIova::new(0x3480_0000), PageSize::Size4K);
-            for i in 0..32u64 {
-                per.map(GIova::new(0xbbe0_0000 + i * 0x20_0000), PageSize::Size2M);
-            }
-            for i in 0..70u64 {
-                per.map(GIova::new(0xf000_0000 + i * 0x1000), PageSize::Size4K);
-            }
-            let per = per.build();
+            let per = paper_tenant(did.raw());
             assert_eq!(space.did(), per.did());
-            assert_eq!(space.page_count(), per.page_count());
-            assert_eq!(space.guest_table(), per.guest_table(), "guest table {did}");
-            assert_eq!(space.host_table(), per.host_table(), "host table {did}");
+            assert_view_matches(space, &per, &canonical, &b.pages);
         }
     }
 
     #[test]
     fn build_many_respects_five_levels() {
         let mut b = TenantSpace::builder(Did::new(0));
-        b.levels(5).map(GIova::new(0xbbe0_0000), PageSize::Size2M);
+        b.levels(5)
+            .map(GIova::new(0xbbe0_0000), PageSize::Size2M)
+            .map(GIova::new(0x3480_0000), PageSize::Size4K);
+        let canonical = b.build();
         let fleet = b.build_many(&[Did::new(4)]);
         let mut per = TenantSpace::builder(Did::new(4));
-        per.levels(5).map(GIova::new(0xbbe0_0000), PageSize::Size2M);
+        per.levels(5)
+            .map(GIova::new(0xbbe0_0000), PageSize::Size2M)
+            .map(GIova::new(0x3480_0000), PageSize::Size4K);
         let per = per.build();
-        assert_eq!(fleet[0].host_table(), per.host_table());
-        assert_eq!(fleet[0].guest_table(), per.guest_table());
+        assert_eq!(fleet[0].geometry(), WalkGeometry::X86Nested5);
+        assert_view_matches(&fleet[0], &per, &canonical, &b.pages);
+        let host = fleet[0].host_walk(GPa::new(GUEST_TABLE_BASE)).unwrap();
+        assert_eq!(host.ptes.len(), 5, "five-level host walk");
+    }
+
+    #[test]
+    #[should_panic(expected = "stamp from the canonical")]
+    fn stamp_rejects_a_non_canonical_source() {
+        // A DID-5 build already sits in slab 5; a view of it stamped at
+        // slab 0 would translate into slab 5.
+        let _ = paper_tenant(5).stamp(Did::new(0), 0);
     }
 
     #[test]
     fn migration_moves_host_frames_and_keeps_guest_layout() {
+        // Each link of the chain (including a move to a lower slab) must
+        // equal a fresh build at the destination slab.
+        let b = paper_builder(0);
+        let canonical = b.build();
+        let mut space = canonical.stamp(Did::new(0), 0);
+        for slab in [5u64, 2, 1023, 0] {
+            space.migrate_to_slab(slab);
+            let fresh = paper_tenant(slab as u32);
+            assert_view_matches(&space, &fresh, &canonical, &b.pages);
+        }
+
         let mut space = paper_tenant(0);
         let iova = GIova::new(0xbbe0_0000);
         let (before, size) = space.lookup(iova).unwrap();
@@ -615,9 +692,6 @@ mod tests {
         space.migrate_to_slab(2);
         let (back, _) = space.lookup(iova).unwrap();
         assert_eq!(back.raw(), before.raw() + 2 * HOST_SLAB_PER_TENANT);
-        // The migrated table is bit-identical to a fresh build at that DID.
-        let fresh = paper_tenant(2);
-        assert_eq!(space.host_table(), fresh.host_table());
     }
 
     #[test]
@@ -642,7 +716,14 @@ mod tests {
                 rv.guest_walk(GIova::new(0x3480_0042)).unwrap().ptes.len(),
                 geom.guest_levels() as usize
             );
-            assert_eq!(rv.host_table().root_extra_bits(), 2);
+            // The widened G-stage root spans four frames, so the first node
+            // allocated below it (on the walk of the first gPA mapped, the
+            // lowest guest node) sits 16 KiB past the root.
+            let host = rv.host_walk(GPa::new(GUEST_TABLE_BASE)).unwrap();
+            assert_eq!(
+                host.pte_addrs[1] & !0xfff,
+                (host.pte_addrs[0] & !0xfff) + 0x4000
+            );
         }
     }
 
@@ -661,26 +742,24 @@ mod tests {
 
     #[test]
     fn riscv_stamping_matches_per_did_builds() {
-        for geom in [WalkGeometry::RiscvSv39x4, WalkGeometry::RiscvSv48x4] {
-            let mut b = TenantSpace::builder(Did::new(0));
+        let builder = |did: Did, geom: WalkGeometry| {
+            let mut b = TenantSpace::builder(did);
             b.geometry(geom);
             b.map(GIova::new(0x3480_0000), PageSize::Size4K);
             for i in 0..8u64 {
                 b.map(GIova::new(0xbbe0_0000 + i * 0x20_0000), PageSize::Size2M);
             }
+            b
+        };
+        for geom in [WalkGeometry::RiscvSv39x4, WalkGeometry::RiscvSv48x4] {
+            let b = builder(Did::new(0), geom);
+            let canonical = b.build();
             let dids = [Did::new(0), Did::new(3), Did::new(511)];
             let fleet = b.build_many(&dids);
             for (space, &did) in fleet.iter().zip(&dids) {
-                let mut per = TenantSpace::builder(did);
-                per.geometry(geom);
-                per.map(GIova::new(0x3480_0000), PageSize::Size4K);
-                for i in 0..8u64 {
-                    per.map(GIova::new(0xbbe0_0000 + i * 0x20_0000), PageSize::Size2M);
-                }
-                let per = per.build();
-                assert_eq!(space.geometry(), per.geometry());
-                assert_eq!(space.guest_table(), per.guest_table(), "guest {geom} {did}");
-                assert_eq!(space.host_table(), per.host_table(), "host {geom} {did}");
+                let per = builder(did, geom).build();
+                assert_eq!(space.geometry(), geom);
+                assert_view_matches(space, &per, &canonical, &b.pages);
             }
         }
     }

@@ -4,17 +4,24 @@
 //! tables". The dense variant is the classic eager construction — every
 //! tenant's [`TenantSpace`] built up front, indexed by DID — and is what
 //! all paper-scale (≤ 1024 tenants) runs use. The lazy variant holds only
-//! the canonical build and stamps a tenant's tables on first touch,
+//! the canonical build and stamps a tenant's space on first touch,
 //! evicting the least-recently-touched resident space when a host-memory
-//! budget would be exceeded. That is what makes million-tenant runs fit in
-//! bounded RSS: per-tenant cost collapses to a trace lane plus (while
-//! resident) one rebased host table.
+//! budget would be exceeded.
 //!
-//! Eviction is *transparent to the model*: stamping is deterministic
-//! ([`TenantSpace::stamp`]), so a rebuilt space is bit-identical to the
-//! evicted one and every cached translation (DevTLB, walk caches, memo)
-//! remains correct without shootdowns. Eviction models the simulator
-//! reclaiming its own memory, not the hypervisor unmapping a tenant.
+//! Every space in either variant is a view of the canonical build
+//! ([`TenantSpace::stamp`]): two shared tables plus the tenant's slab
+//! offset, a few dozen bytes whatever the page inventory. A resident
+//! tenant owns no table. The residency cap is still the budget divided by
+//! [`TenantSpace::per_tenant_bytes`], the size of one private host table,
+//! so the cap, the build and eviction counters and the checkpointed pool
+//! state keep the values they had when each resident space held its own
+//! copy of the table.
+//!
+//! Eviction is *transparent to the model*: stamping is deterministic, so
+//! a rebuilt space translates exactly as the evicted one did and every
+//! cached translation (DevTLB, walk caches, memo) remains correct without
+//! shootdowns. Eviction models the simulator reclaiming its own memory,
+//! not the hypervisor unmapping a tenant.
 
 use std::collections::VecDeque;
 
@@ -107,16 +114,24 @@ impl SpacePool {
     /// Creates a lazy pool over `tenants` tenants stamped on demand from
     /// `canonical` (a slab-0 build of the shared page inventory).
     ///
-    /// `budget_bytes` caps the resident spaces' estimated heap footprint
-    /// ([`TenantSpace::per_tenant_bytes`] each); at least one space is
-    /// always allowed. `None` means unbounded residency (lazy build, no
+    /// `budget_bytes` caps the resident spaces at `budget_bytes /`
+    /// [`TenantSpace::per_tenant_bytes`]; at least one space is always
+    /// allowed. `None` means unbounded residency (lazy build, no
     /// eviction).
     ///
     /// # Panics
     ///
-    /// Panics if `tenants` is zero.
+    /// Panics if `tenants` is zero, or if `canonical` is not a slab-0
+    /// build (`host_slab() == 0` and `host_delta() == 0`, as a DID-0
+    /// build that was never migrated is).
     pub fn lazy(canonical: TenantSpace, tenants: u32, budget_bytes: Option<u64>) -> Self {
         assert!(tenants > 0, "at least one tenant is required");
+        assert!(
+            canonical.is_canonical(),
+            "a lazy pool stamps from a slab-0 build, not {} in slab {}",
+            canonical.did(),
+            canonical.host_slab()
+        );
         let per_space = canonical.per_tenant_bytes().max(1);
         let max_resident = match budget_bytes {
             None => usize::MAX,
@@ -278,7 +293,7 @@ impl SpacePool {
     /// evicts least-recently-touched spaces until the survivors fit —
     /// the graceful-degradation response to host memory pressure. Safe
     /// because eviction is model-transparent (see the module docs): a
-    /// later touch re-stamps a bit-identical space. Returns the number of
+    /// later touch re-stamps an identical view. Returns the number of
     /// spaces evicted; a dense pool is untouched and returns 0.
     pub fn shrink_residency(&mut self) -> u64 {
         let pool = match &mut self.variant {
@@ -304,8 +319,8 @@ impl SpacePool {
     /// Appends the pool's mutable state to a checkpoint stream: slab
     /// placement for a dense pool; residency metadata (recency order,
     /// slab overrides, counters) for a lazy one. Resident spaces are
-    /// *not* serialised — stamping is deterministic, so restore rebuilds
-    /// them bit-identically from the canonical build.
+    /// *not* serialised — stamping is deterministic, so restore re-stamps
+    /// identical views of the canonical build.
     pub fn snapshot_words(&self, out: &mut Vec<u64>) {
         match &self.variant {
             Variant::Dense(spaces) => {
@@ -620,6 +635,16 @@ mod tests {
     fn out_of_range_did_rejected() {
         let mut pool = SpacePool::lazy(canonical(), 4, None);
         pool.ensure(Did::new(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "slab-0 build")]
+    fn lazy_pool_rejects_a_non_canonical_source() {
+        // A DID-5 build sits in slab 5: every tenant stamped from it would
+        // translate into slab 5 + its own, while reporting its own slab.
+        let mut b = TenantSpace::builder(Did::new(5));
+        b.map(GIova::new(0xbbe0_0000), PageSize::Size2M);
+        let _ = SpacePool::lazy(b.build(), 8, None);
     }
 
     #[test]

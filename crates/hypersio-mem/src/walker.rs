@@ -96,7 +96,7 @@ pub struct TwoDimWalker;
 
 /// DRAM reads for one nested (host) walk: one PTE read per host level.
 fn host_walk_reads(space: &TenantSpace) -> u64 {
-    space.host_table().levels() as u64
+    space.geometry().host_levels() as u64
 }
 
 /// Memo coalescing the *functional* radix traversals of concurrent walks.
@@ -115,10 +115,10 @@ fn host_walk_reads(space: &TenantSpace) -> u64 {
 /// Entries are keyed by [`TenantSpace::layout_id`] *and* the layout's
 /// [`crate::WalkGeometry`] discriminant, and stored in *canonical*
 /// coordinates: all tenants stamped from one
-/// [`crate::TenantSpaceBuilder::build_many`] call share bit-identical guest
-/// tables and affine host tables, so a single memo entry serves every
-/// sibling (the caller's [`TenantSpace::host_delta`] is applied on the way
-/// out). This keeps the memo a few thousand entries at any tenant count —
+/// [`crate::TenantSpaceBuilder::build_many`] call are views of one guest
+/// table and one host table, so a single memo entry serves every sibling
+/// (the caller's [`TenantSpace::host_delta`] is applied on the way out).
+/// This keeps the memo a few thousand entries at any tenant count —
 /// cache-resident — instead of growing per tenant. It also makes slab
 /// migration free: a migrated tenant's delta changes, the canonical entry
 /// stays valid, and no invalidation is needed.
@@ -368,7 +368,6 @@ impl TwoDimWalker {
             let geometry = space.geometry();
             let h = host_walk_reads(space);
             debug_assert_eq!(table_levels, geometry.guest_levels());
-            debug_assert_eq!(h, geometry.host_levels() as u64);
             debug_assert!(geometry.supports_leaf_level(leaf_level));
             // `start_level == 0`: the L2 walk cache served the leaf itself.
             // `leaf_level > start_level`: an upper-level superpage leaf sits

@@ -90,14 +90,15 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Builds a simulation, constructing per-tenant page tables from the
-    /// trace's page inventory.
+    /// Builds a simulation, constructing the tenant page tables from the
+    /// trace's page inventory: one canonical build, of which every tenant's
+    /// [`TenantSpace`] is a view.
     ///
-    /// Page tables are materialised eagerly (one [`TenantSpace`] per DID at
-    /// construction) when the trace covers the contiguous DID range `0..N`
-    /// and no [`SimParams::table_budget`] is set — the historical layout,
+    /// Spaces are stamped eagerly (one per DID at construction) when the
+    /// trace covers the contiguous DID range `0..N` and no
+    /// [`SimParams::table_budget`] is set — the historical layout,
     /// byte-identical to earlier versions. A shard trace (strided DIDs) or
-    /// a table budget switches to a lazy [`SpacePool`]: tables are stamped
+    /// a table budget switches to a lazy [`SpacePool`]: spaces are stamped
     /// from the canonical layout on first touch and evicted LRU under the
     /// budget. Either pool produces bit-identical reports.
     ///

@@ -83,16 +83,18 @@ pub struct SimParams {
     /// IO page faults). Defaults to [`FaultPlan::none`], which injects
     /// nothing and leaves the run byte-identical to earlier versions.
     pub fault_plan: FaultPlan,
-    /// Host-memory budget (in bytes) for resident per-tenant page tables.
+    /// Page-table budget (in bytes) that sizes a lazy pool's residency cap.
     ///
-    /// `None` (the default) materialises every tenant's tables eagerly at
+    /// `None` (the default) stamps every tenant's space eagerly at
     /// construction, exactly as earlier versions did. `Some(bytes)` switches
-    /// the IOMMU to a lazy [`hypersio_mem::SpacePool`]: tables are stamped
+    /// the IOMMU to a lazy [`hypersio_mem::SpacePool`]: spaces are stamped
     /// out from the canonical layout on a tenant's first translation and
-    /// evicted LRU once the budget is exceeded. Rebuilds are bit-identical
-    /// to the evicted tables, so every translation result — and hence the
-    /// whole report — is unchanged by the budget; only host RSS and
-    /// simulator wall time vary.
+    /// evicted LRU once more than `bytes /`
+    /// [`hypersio_mem::TenantSpace::per_tenant_bytes`] are resident. Every
+    /// space is a view of the canonical tables, so a rebuild translates
+    /// exactly as the evicted space did, and every translation result —
+    /// and hence the whole report — is unchanged by the budget; only
+    /// simulator wall time varies.
     pub table_budget: Option<u64>,
     /// Arrival slots processed per batch frame of the pipeline loop
     /// (default 8).

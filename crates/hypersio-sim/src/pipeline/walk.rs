@@ -255,7 +255,7 @@ impl WalkStage {
         self.iommu.walk_cache_stats()
     }
 
-    /// Sheds re-derivable IOMMU memory (walk memo, lazy table residency)
+    /// Sheds re-derivable IOMMU memory (walk memo, lazy pool residency)
     /// under memory pressure; returns `(spaces_evicted, memo_entries)`.
     /// Model-transparent: both are rebuilt bit-identically on demand.
     pub(crate) fn relieve_memory_pressure(&mut self) -> (u64, u64) {

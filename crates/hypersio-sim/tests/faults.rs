@@ -146,7 +146,7 @@ fn tenant_churn_forces_rewalks_but_conserves_packets() {
     .run_with(&mut obs);
     assert_eq!(churned.tenant_remaps, 8);
     assert_eq!(obs.count(EventKind::TenantRemap), 8);
-    // Migration rebases tables and kills cached state: strictly more DRAM
+    // Migration moves the host slab and kills cached state: strictly more DRAM
     // traffic than the undisturbed run.
     assert!(
         churned.iommu.dram_accesses > baseline.iommu.dram_accesses,

@@ -1,11 +1,11 @@
 //! Differential equivalence of lazy, budget-evicted page tables.
 //!
 //! `SimParams::with_table_budget` swaps the eager dense [`SpacePool`] for
-//! a lazy one that stamps a tenant's tables on first touch and LRU-evicts
-//! residents to stay under a host-memory budget. Laziness is a *memory*
-//! optimization only: stamping is deterministic, so a rebuilt space is
-//! bit-identical to the evicted one and **every budget must produce
-//! bit-identical results to the eager run**. This suite pins that
+//! a lazy one that stamps a tenant's space (a view of the canonical
+//! tables) on first touch and LRU-evicts residents past a cap derived from
+//! the budget. Laziness changes no result: stamping is deterministic, so a
+//! rebuilt space translates exactly as the evicted one did and **every
+//! budget must produce bit-identical results to the eager run**. This suite pins that
 //! contract at 128 and 1024 tenants for Base and HyperTRIO:
 //!
 //! 1. **Report equivalence**: an unbounded lazy pool and a one-resident

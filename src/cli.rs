@@ -85,8 +85,8 @@ pub struct SimArgs {
     /// merged deterministically. `1` (the default) is the plain
     /// single-queue run.
     pub shards: u32,
-    /// Host-memory budget for resident per-tenant page tables, in MiB.
-    /// `None` keeps the historical eager (all-resident) tables.
+    /// Page-table budget, in MiB, that sizes the lazy table pool's
+    /// residency cap. `None` keeps the eager (all-resident) pool.
     pub table_budget_mb: Option<u64>,
     /// Collect per-tenant statistics and print the fairness table (`sim`).
     pub per_tenant: bool,
@@ -309,9 +309,10 @@ SCALE-OUT (sim only; results stay deterministic):
                            queues, simulated in parallel and merged
                            deterministically (any --jobs value gives a
                            bit-identical merged report)          [1]
-    --table-budget-mb <N>  cap resident per-tenant page tables at N MiB;
-                           tables build lazily on first touch and are
-                           LRU-evicted under the cap (the report is
+    --table-budget-mb <N>  stamp tenant page tables lazily on first touch
+                           and LRU-evict them past N MiB counted at one
+                           private table per tenant (a resident tenant
+                           is a view of one shared build; the report is
                            bit-identical to the eager default)
 
 OBSERVABILITY (sim only; no effect on the simulated behaviour):
