@@ -57,26 +57,6 @@ impl<K: CacheKey + OracleKey, V> FullyAssocCache<K, V> {
         self.inner.lookup_fused(primary, secondary, now)
     }
 
-    /// Probes `keys` in order as sequential lookups at `now`, `now + 1`, …;
-    /// see [`SetAssocCache::probe_batch`].
-    pub fn probe_batch(&mut self, keys: &[K], now: u64, out: &mut [Option<V>])
-    where
-        V: Copy,
-    {
-        self.inner.probe_batch(keys, now, out);
-    }
-
-    /// Fills `entries` in order as sequential inserts at `now`, `now + 1`,
-    /// …; see [`SetAssocCache::fill_batch`].
-    pub fn fill_batch(
-        &mut self,
-        entries: impl IntoIterator<Item = (K, V)>,
-        now: u64,
-        on_evict: impl FnMut(K, V),
-    ) -> usize {
-        self.inner.fill_batch(entries, now, on_evict)
-    }
-
     /// Returns the cached value without touching statistics or policy state.
     pub fn peek(&self, key: &K) -> Option<&V> {
         self.inner.peek(key)

@@ -221,43 +221,6 @@ impl<K: CacheKey + OracleKey, V> PartitionedCache<K, V> {
         self.inner.lookup_fused(&primary, &secondary, now)
     }
 
-    /// Probes `keys` on behalf of `sid` in order, exactly as sequential
-    /// [`Self::lookup`] calls at `now`, `now + 1`, … would, copying each
-    /// result into `out`; see [`SetAssocCache::probe_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != keys.len()`.
-    pub fn probe_batch(&mut self, sid: Sid, keys: &[K], now: u64, out: &mut [Option<V>])
-    where
-        V: Copy,
-    {
-        assert_eq!(keys.len(), out.len(), "probe_batch buffer length mismatch");
-        for (i, (key, slot)) in keys.iter().zip(out.iter_mut()).enumerate() {
-            *slot = self.lookup(sid, key, now + i as u64).copied();
-        }
-    }
-
-    /// Fills `entries` on behalf of `sid` in order, exactly as sequential
-    /// [`Self::insert`] calls at `now`, `now + 1`, … would; `on_evict`
-    /// observes each evicted pair in order. Returns the number of evictions.
-    pub fn fill_batch(
-        &mut self,
-        sid: Sid,
-        entries: impl IntoIterator<Item = (K, V)>,
-        now: u64,
-        mut on_evict: impl FnMut(K, V),
-    ) -> usize {
-        let mut evictions = 0;
-        for (i, (key, value)) in entries.into_iter().enumerate() {
-            if let Some((k, v)) = self.insert(sid, key, value, now + i as u64) {
-                evictions += 1;
-                on_evict(k, v);
-            }
-        }
-        evictions
-    }
-
     /// Returns the cached value without touching statistics or policy state.
     pub fn peek(&self, sid: Sid, key: &K) -> Option<&V> {
         self.inner.peek(&self.wrap(sid, key.clone()))

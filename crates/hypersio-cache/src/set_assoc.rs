@@ -249,42 +249,6 @@ impl<K: CacheKey + OracleKey, V> SetAssocCache<K, V> {
         self.lookup(secondary, now)
     }
 
-    /// Probes `keys` in order, exactly as sequential [`Self::lookup`] calls
-    /// at `now`, `now + 1`, … would — one recorded access and one policy
-    /// update per key — copying each result into `out` (`None` on a miss).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != keys.len()`.
-    pub fn probe_batch(&mut self, keys: &[K], now: u64, out: &mut [Option<V>])
-    where
-        V: Copy,
-    {
-        assert_eq!(keys.len(), out.len(), "probe_batch buffer length mismatch");
-        for (i, (key, slot)) in keys.iter().zip(out.iter_mut()).enumerate() {
-            *slot = self.lookup(key, now + i as u64).copied();
-        }
-    }
-
-    /// Fills `entries` in order, exactly as sequential [`Self::insert`]
-    /// calls at `now`, `now + 1`, … would; `on_evict` observes each evicted
-    /// pair in order. Returns the number of evictions.
-    pub fn fill_batch(
-        &mut self,
-        entries: impl IntoIterator<Item = (K, V)>,
-        now: u64,
-        mut on_evict: impl FnMut(K, V),
-    ) -> usize {
-        let mut evictions = 0;
-        for (i, (key, value)) in entries.into_iter().enumerate() {
-            if let Some((k, v)) = self.insert(key, value, now + i as u64) {
-                evictions += 1;
-                on_evict(k, v);
-            }
-        }
-        evictions
-    }
-
     /// Returns the cached value without touching statistics or policy state.
     pub fn peek(&self, key: &K) -> Option<&V> {
         let base = self.row_base(key);
@@ -678,31 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_matches_sequential_lookups() {
-        let mut batched = lru_cache(8, 2);
-        let mut scalar = lru_cache(8, 2);
-        for c in [&mut batched, &mut scalar] {
-            for k in 0..5u64 {
-                c.insert(k, k * 10, k);
-            }
-        }
-        let keys = [0u64, 3, 9, 4, 11];
-        let mut out = [None; 5];
-        batched.probe_batch(&keys, 100, &mut out);
-        for (i, key) in keys.iter().enumerate() {
-            assert_eq!(
-                out[i],
-                scalar.lookup(key, 100 + i as u64).copied(),
-                "key {key}"
-            );
-        }
-        assert_eq!(batched.stats().hits(), scalar.stats().hits());
-        assert_eq!(batched.stats().misses(), scalar.stats().misses());
-        // Policy state advanced identically: same victim on the next insert.
-        assert_eq!(batched.insert(8, 80, 200), scalar.insert(8, 80, 200));
-    }
-
-    #[test]
     fn snapshot_round_trip_preserves_contents_policy_and_stats() {
         use crate::snapshot::WordReader;
         for kind in [
@@ -768,24 +707,5 @@ mod tests {
         bad_flag[1] = 7;
         let mut fresh = lru_cache(4, 2);
         assert_eq!(fresh.restore_words(&mut WordReader::new(&bad_flag)), None);
-    }
-
-    #[test]
-    fn fill_batch_matches_sequential_inserts() {
-        let mut batched = lru_cache(2, 2);
-        let mut scalar = lru_cache(2, 2);
-        let entries = [(1u64, 10u64), (2, 20), (3, 30), (4, 40)];
-        let mut evicted = Vec::new();
-        let n = batched.fill_batch(entries, 0, |k, v| evicted.push((k, v)));
-        let mut scalar_evicted = Vec::new();
-        for (i, (k, v)) in entries.into_iter().enumerate() {
-            if let Some(pair) = scalar.insert(k, v, i as u64) {
-                scalar_evicted.push(pair);
-            }
-        }
-        assert_eq!(n, scalar_evicted.len());
-        assert_eq!(evicted, scalar_evicted);
-        assert_eq!(batched.stats().evictions(), scalar.stats().evictions());
-        assert_eq!(batched.len(), scalar.len());
     }
 }

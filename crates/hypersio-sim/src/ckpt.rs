@@ -14,7 +14,8 @@
 //! SID map, fault schedule, walk memo) is rebuilt at construction, so a
 //! checkpoint stays small and resume stays bit-exact (`DESIGN.md` §16).
 //! Three layers reject a bad file, each with a typed [`CheckpointError`]:
-//! the header (schema, run identity fingerprint), an FNV-1a-64 checksum
+//! the header (read by the workspace's one JSON reader,
+//! [`hypersio_types::json`]: schema, run identity), an FNV-1a-64 checksum
 //! over the body bytes, and the word-level decoder's own shape validation.
 //! Corrupt input can produce an error but never a panic and never a
 //! silently wrong resume.
@@ -22,7 +23,7 @@
 use std::fmt;
 
 use hypersio_cache::WordReader;
-use hypersio_types::json::escape;
+use hypersio_types::json::{self, escape, Json};
 
 use crate::model::Simulation;
 
@@ -97,60 +98,23 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Extracts the raw token after `"key":` in the (single-line, flat,
-/// machine-written) header, stopping at the next `,` or `}`. String
-/// values keep their surrounding quotes.
-fn raw_field<'a>(header: &'a str, key: &str) -> Result<&'a str, CheckpointError> {
-    let pat = format!("\"{key}\":");
-    let start = header
-        .find(&pat)
-        .ok_or_else(|| CheckpointError::Header(format!("missing field {key:?}")))?
-        + pat.len();
-    let rest = &header[start..];
-    let end = if let Some(quoted) = rest.strip_prefix('"') {
-        // A quoted string: scan to the first unescaped quote, stepping
-        // over each backslash escape whole; reject if unclosed.
-        let mut chars = quoted.char_indices();
-        let close = loop {
-            match chars.next() {
-                Some((i, '"')) => break i,
-                Some((_, '\\')) => {
-                    chars.next();
-                }
-                Some(_) => {}
-                None => {
-                    return Err(CheckpointError::Header(format!(
-                        "unterminated string for {key:?}"
-                    )))
-                }
-            }
-        };
-        close + 2
-    } else {
-        rest.find([',', '}'])
-            .ok_or_else(|| CheckpointError::Header(format!("unterminated value for {key:?}")))?
-    };
-    Ok(&rest[..end])
-}
-
-/// A quoted-string header field, unquoted.
-fn str_field<'a>(header: &'a str, key: &str) -> Result<&'a str, CheckpointError> {
-    let raw = raw_field(header, key)?;
-    raw.strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .ok_or_else(|| CheckpointError::Header(format!("field {key:?} is not a string")))
-}
-
-/// A decimal integer header field.
-fn u64_field(header: &str, key: &str) -> Result<u64, CheckpointError> {
-    raw_field(header, key)?
-        .parse()
-        .map_err(|_| CheckpointError::Header(format!("field {key:?} is not an integer")))
+/// Reads header field `key` with `read`, one of [`Json`]'s typed
+/// accessors; `what` names the expected type in the error.
+fn header_field<'a, T>(
+    header: &'a Json,
+    key: &str,
+    read: fn(&'a Json) -> Option<T>,
+    what: &str,
+) -> Result<T, CheckpointError> {
+    let value = header
+        .get(key)
+        .ok_or_else(|| CheckpointError::Header(format!("missing field {key:?}")))?;
+    read(value).ok_or_else(|| CheckpointError::Header(format!("field {key:?} is not {what}")))
 }
 
 /// A `"0x..."` hexadecimal header field.
-fn hex_field(header: &str, key: &str) -> Result<u64, CheckpointError> {
-    let s = str_field(header, key)?;
+fn hex_field(header: &Json, key: &str) -> Result<u64, CheckpointError> {
+    let s = header_field(header, key, Json::as_str, "a string")?;
     let digits = s
         .strip_prefix("0x")
         .ok_or_else(|| CheckpointError::Header(format!("field {key:?} is not 0x-hex")))?;
@@ -223,21 +187,22 @@ impl Simulation {
             .ok_or_else(|| CheckpointError::Header("no header line".into()))?;
         let header = std::str::from_utf8(&bytes[..newline])
             .map_err(|_| CheckpointError::Header("header is not UTF-8".into()))?;
-        let schema = str_field(header, "schema")?;
+        let header = json::parse(header).map_err(|e| CheckpointError::Header(e.to_string()))?;
+        let schema = header_field(&header, "schema", Json::as_str, "a string")?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(CheckpointError::Header(format!(
                 "unknown schema {schema:?} (expected {CHECKPOINT_SCHEMA:?})"
             )));
         }
-        let config = str_field(header, "config")?;
-        if config != escape(&self.config().name) {
+        let config = header_field(&header, "config", Json::as_str, "a string")?;
+        if config != self.config().name {
             return Err(CheckpointError::RunMismatch(format!(
                 "config {:?} vs this run's {:?}",
                 config,
                 self.config().name
             )));
         }
-        let tenants = u64_field(header, "tenants")?;
+        let tenants = header_field(&header, "tenants", Json::as_u64, "an integer")?;
         if tenants != self.trace().tenants() as u64 {
             return Err(CheckpointError::RunMismatch(format!(
                 "{} tenants vs this run's {}",
@@ -245,7 +210,7 @@ impl Simulation {
                 self.trace().tenants()
             )));
         }
-        let fingerprint = hex_field(header, "fingerprint")?;
+        let fingerprint = hex_field(&header, "fingerprint")?;
         if fingerprint != self.fingerprint() {
             return Err(CheckpointError::RunMismatch(
                 "parameter fingerprint differs (different seed, latencies, \
@@ -253,8 +218,8 @@ impl Simulation {
                     .into(),
             ));
         }
-        let expected_words = u64_field(header, "words")?;
-        let crc = hex_field(header, "crc")?;
+        let expected_words = header_field(&header, "words", Json::as_u64, "an integer")?;
+        let crc = hex_field(&header, "crc")?;
 
         let body = &bytes[newline + 1..];
         let actual_words = (body.len() / 8) as u64;
@@ -296,6 +261,13 @@ mod tests {
         Simulation::new(TranslationConfig::hypertrio(), SimParams::paper(), trace)
     }
 
+    /// `bytes` with the first `from` in its header line replaced by `to`.
+    fn edit_header(bytes: &[u8], from: &str, to: &str) -> Vec<u8> {
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&bytes[..newline]).unwrap();
+        [header.replacen(from, to, 1).as_bytes(), &bytes[newline..]].concat()
+    }
+
     #[test]
     fn fresh_checkpoint_round_trips() {
         let bytes = sim(8, 3).checkpoint_bytes();
@@ -331,6 +303,15 @@ mod tests {
                 .resume_from_bytes(&bytes)
                 .unwrap_or_else(|e| panic!("config name {name:?}: {e}"));
         }
+        // The name is compared decoded, so any JSON spelling of it resumes.
+        let respelled = edit_header(
+            &sim(4, 0).checkpoint_bytes(),
+            r#""config":"HyperTRIO""#,
+            &format!(r#""config":"Hyper{}u0054RIO""#, '\\'),
+        );
+        sim(4, 0)
+            .resume_from_bytes(&respelled)
+            .expect("an escaped config name resumes");
     }
 
     #[test]
@@ -398,6 +379,16 @@ mod tests {
         let plan = b"{\"schema\":\"fault_plan/v1\",\"fault_rate\":0.1}\n";
         assert!(matches!(
             sim(2, 0).resume_from_bytes(plan),
+            Err(CheckpointError::Header(_))
+        ));
+        // A repeated key is malformed, not "the first one wins".
+        let repeated = edit_header(
+            &sim(2, 0).checkpoint_bytes(),
+            "\"tenants\":2,",
+            "\"tenants\":2,\"tenants\":2,",
+        );
+        assert!(matches!(
+            sim(2, 0).resume_from_bytes(&repeated),
             Err(CheckpointError::Header(_))
         ));
     }

@@ -14,9 +14,9 @@ use hypersio_types::SimDuration;
 
 use crate::report::SimReport;
 
-/// How many batch frames pass between RSS watchdog polls. Reading
-/// `/proc/self/status` is cheap but not free; at the default batch size of
-/// 8 this samples every 512 arrival slots.
+/// How many frames pass between RSS watchdog polls. Reading
+/// `/proc/self/status` is cheap but not free; at 8 arrival slots per frame
+/// this samples every 512 slots.
 pub(crate) const RSS_CHECK_FRAMES: u64 = 64;
 
 /// Knobs for a controlled run. All default to off; see the module docs.

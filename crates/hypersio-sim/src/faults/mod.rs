@@ -92,6 +92,12 @@ pub struct ChurnEvent {
     pub did: Did,
 }
 
+/// The longest PRI page-request service latency a plan may set, in µs
+/// (1000 s of simulated time): it keeps `now + pri_latency` far inside the
+/// picosecond clock. `FaultPlan::validate` and the `--pri-latency-us` flag
+/// both check against it.
+pub const MAX_PRI_LATENCY_US: u64 = 1_000_000_000;
+
 /// A declarative, seeded fault-injection plan.
 ///
 /// The default ([`FaultPlan::none`]) injects nothing and leaves the
@@ -205,13 +211,19 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a human-readable description of the first problem found:
-    /// a `fault_rate` outside `0.0..=1.0` (or non-finite), or a zero
-    /// `storm_period`.
+    /// a `fault_rate` outside `0.0..=1.0` (or non-finite), a `pri_latency`
+    /// above [`MAX_PRI_LATENCY_US`], or a zero `storm_period`.
     pub fn validate(&self) -> Result<(), String> {
         if !self.fault_rate.is_finite() || !(0.0..=1.0).contains(&self.fault_rate) {
             return Err(format!(
                 "fault_rate must be within 0.0..=1.0, got {}",
                 self.fault_rate
+            ));
+        }
+        if self.pri_latency > SimDuration::from_us(MAX_PRI_LATENCY_US) {
+            return Err(format!(
+                "pri_latency must be at most {MAX_PRI_LATENCY_US} us, got {} ps",
+                self.pri_latency.as_ps()
             ));
         }
         if self.storm_period.is_some_and(|p| p.is_zero()) {
@@ -632,6 +644,10 @@ mod tests {
             .validate()
             .is_err());
         assert!(FaultPlan::none().with_fault_rate(1.0).validate().is_ok());
+        let max = SimDuration::from_us(MAX_PRI_LATENCY_US);
+        assert!(FaultPlan::none().with_pri_latency(max).validate().is_ok());
+        let over = SimDuration::from_ps(max.as_ps() + 1);
+        assert!(FaultPlan::none().with_pri_latency(over).validate().is_err());
     }
 
     #[test]

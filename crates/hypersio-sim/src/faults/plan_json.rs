@@ -1,9 +1,13 @@
 //! The `fault_plan/v1` JSON file format.
 //!
-//! Fault plans are authored by hand (CI, experiments), so the loader is a
-//! self-contained minimal JSON reader with positional error messages — no
-//! dependency on the bench crate's validator (which sits *above* this
-//! crate) and no panics on malformed input.
+//! Fault plans are authored by hand (CI, experiments), so the loader is
+//! strict: the text is read by the workspace's one JSON reader,
+//! [`hypersio_types::json`] (a malformed document, a repeated key or an
+//! out-of-range number is an error at its byte offset), every key must be
+//! one the format defines, every field must have its type, and integers
+//! must be exact ([`Json::as_u64`]). Value ranges are then checked in one
+//! place, [`FaultPlan::validate`], which programmatic plans pass through
+//! too. Every error names the field path, e.g. `storms[0].did: ...`.
 //!
 //! ```json
 //! {
@@ -21,241 +25,59 @@
 //! Every field except `schema` is optional and defaults to the
 //! [`FaultPlan::none`] value.
 
+use std::collections::BTreeMap;
+
+use hypersio_types::json::{self, Json};
 use hypersio_types::{Did, SimDuration, SimTime};
 
 use super::{BackoffPolicy, ChurnEvent, FaultPlan, StormEvent};
 
-/// A parsed JSON value (only what the plan format needs).
-enum Val {
-    Num(f64),
-    Str(String),
-    Bool(bool),
-    Null,
-    Arr(Vec<Val>),
-    Obj(Vec<(String, Val)>),
-}
-
-impl Val {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Val> {
-        match self {
-            Val::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn type_name(&self) -> &'static str {
-        match self {
-            Val::Num(_) => "number",
-            Val::Str(_) => "string",
-            Val::Bool(_) => "boolean",
-            Val::Null => "null",
-            Val::Arr(_) => "array",
-            Val::Obj(_) => "object",
-        }
+/// The fields of the object `val` at `path`, which must hold no key
+/// outside `known`.
+fn object<'a>(
+    val: &'a Json,
+    path: &str,
+    known: &[&str],
+) -> Result<&'a BTreeMap<String, Json>, String> {
+    let fields = val
+        .as_obj()
+        .ok_or_else(|| format!("{path}: expected an object, got {}", val.type_name()))?;
+    match fields.keys().find(|k| !known.contains(&k.as_str())) {
+        Some(key) if path.is_empty() => Err(format!("unknown key '{key}'")),
+        Some(key) => Err(format!("unknown key '{path}.{key}'")),
+        None => Ok(fields),
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn num(val: &Json, context: &str) -> Result<f64, String> {
+    val.as_num()
+        .ok_or_else(|| format!("{context}: expected a number, got {}", val.type_name()))
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Val, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Val::Str(self.string()?)),
-            Some(b't') => self.literal("true", Val::Bool(true)),
-            Some(b'f') => self.literal("false", Val::Bool(false)),
-            Some(b'n') => self.literal("null", Val::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(&format!("unexpected character '{}'", other as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn literal(&mut self, text: &str, val: Val) -> Result<Val, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected '{text}'")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        _ => return Err(self.err("unsupported string escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through untouched; the input
-                    // is a &str, so the bytes are valid.
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).expect(
-                        "slicing a str on byte values < 0x80 keeps UTF-8 boundaries intact",
-                    ));
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Val, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Val::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn object(&mut self) -> Result<Val, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Val::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Val::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Val, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Val::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Val::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-}
-
-fn parse(text: &str) -> Result<Val, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let val = p.value()?;
-    if p.peek().is_some() {
-        return Err(p.err("trailing content after document"));
-    }
-    Ok(val)
-}
-
-fn num(val: &Val, context: &str) -> Result<f64, String> {
-    match val {
-        Val::Num(n) => Ok(*n),
-        other => Err(format!(
-            "{context}: expected a number, got {}",
-            other.type_name()
-        )),
-    }
-}
-
-fn u64_field(val: &Val, context: &str) -> Result<u64, String> {
+fn u64_field(val: &Json, context: &str) -> Result<u64, String> {
     let n = num(val, context)?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return Err(format!(
-            "{context}: expected a non-negative integer, got {n}"
-        ));
-    }
-    Ok(n as u64)
+    val.as_u64()
+        .ok_or_else(|| format!("{context}: expected a non-negative integer below 2^53, got {n}"))
 }
 
-fn time_us(val: &Val, context: &str) -> Result<u64, String> {
+fn u32_field(val: &Json, context: &str) -> Result<u32, String> {
+    let n = u64_field(val, context)?;
+    u32::try_from(n).map_err(|_| format!("{context}: {n} exceeds the u32 range"))
+}
+
+/// A time in µs, as picoseconds.
+fn time_us(val: &Json, context: &str) -> Result<u64, String> {
     let n = num(val, context)?;
     if n < 0.0 {
         return Err(format!("{context}: time must be non-negative, got {n}"));
     }
-    Ok((n * 1e6) as u64) // µs → ps
+    let ps = n * 1e6;
+    if ps >= 2f64.powi(64) {
+        return Err(format!(
+            "{context}: {n:e} us overflows the picosecond clock"
+        ));
+    }
+    Ok(ps as u64)
 }
 
 impl FaultPlan {
@@ -264,43 +86,57 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a human-readable message for malformed JSON, a missing or
-    /// wrong `schema` tag, mistyped fields, or values that fail
-    /// [`FaultPlan::validate`].
+    /// wrong `schema` tag, an unknown key, mistyped fields, or values that
+    /// fail [`FaultPlan::validate`].
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
-        let doc = parse(text)?;
+        let doc = json::parse(text).map_err(|e| e.to_string())?;
         match doc.get("schema") {
-            Some(Val::Str(s)) if s == "fault_plan/v1" => {}
-            Some(Val::Str(s)) => return Err(format!("unknown schema '{s}'")),
+            Some(Json::Str(s)) if s == "fault_plan/v1" => {}
+            Some(Json::Str(s)) => return Err(format!("unknown schema '{s}'")),
             _ => return Err("missing string field 'schema'".to_string()),
         }
+        let fields = object(
+            &doc,
+            "",
+            &[
+                "schema",
+                "seed",
+                "fault_rate",
+                "pri_latency_us",
+                "storm_period_us",
+                "backoff",
+                "storms",
+                "churns",
+            ],
+        )?;
         let mut plan = FaultPlan::none();
-        if let Some(v) = doc.get("seed") {
+        if let Some(v) = fields.get("seed") {
             plan.seed = u64_field(v, "seed")?;
         }
-        if let Some(v) = doc.get("fault_rate") {
+        if let Some(v) = fields.get("fault_rate") {
             plan.fault_rate = num(v, "fault_rate")?;
         }
-        if let Some(v) = doc.get("pri_latency_us") {
+        if let Some(v) = fields.get("pri_latency_us") {
             plan.pri_latency = SimDuration::from_ps(time_us(v, "pri_latency_us")?);
         }
-        if let Some(v) = doc.get("storm_period_us") {
+        if let Some(v) = fields.get("storm_period_us") {
             plan.storm_period = Some(SimDuration::from_ps(time_us(v, "storm_period_us")?));
         }
-        if let Some(v) = doc.get("backoff") {
+        if let Some(v) = fields.get("backoff") {
             plan.backoff = backoff(v)?;
         }
-        if let Some(v) = doc.get("storms") {
-            let Val::Arr(items) = v else {
-                return Err(format!("storms: expected an array, got {}", v.type_name()));
-            };
+        if let Some(v) = fields.get("storms") {
+            let items = v
+                .as_arr()
+                .ok_or_else(|| format!("storms: expected an array, got {}", v.type_name()))?;
             for (i, item) in items.iter().enumerate() {
                 plan.storms.push(storm(item, i)?);
             }
         }
-        if let Some(v) = doc.get("churns") {
-            let Val::Arr(items) = v else {
-                return Err(format!("churns: expected an array, got {}", v.type_name()));
-            };
+        if let Some(v) = fields.get("churns") {
+            let items = v
+                .as_arr()
+                .ok_or_else(|| format!("churns: expected an array, got {}", v.type_name()))?;
             for (i, item) in items.iter().enumerate() {
                 plan.churns.push(churn(item, i)?);
             }
@@ -310,71 +146,67 @@ impl FaultPlan {
     }
 }
 
-fn backoff(val: &Val) -> Result<BackoffPolicy, String> {
+fn backoff(val: &Json) -> Result<BackoffPolicy, String> {
+    let fields = object(val, "backoff", &["base_slots", "cap_slots", "max_retries"])?;
     let mut b = BackoffPolicy::default();
-    if !matches!(val, Val::Obj(_)) {
-        return Err(format!(
-            "backoff: expected an object, got {}",
-            val.type_name()
-        ));
-    }
-    if let Some(v) = val.get("base_slots") {
+    if let Some(v) = fields.get("base_slots") {
         b.base_slots = u64_field(v, "backoff.base_slots")?;
     }
-    if let Some(v) = val.get("cap_slots") {
+    if let Some(v) = fields.get("cap_slots") {
         b.cap_slots = u64_field(v, "backoff.cap_slots")?;
     }
-    if let Some(v) = val.get("max_retries") {
-        let n = u64_field(v, "backoff.max_retries")?;
-        b.max_retries = u32::try_from(n)
-            .map_err(|_| format!("backoff.max_retries: {n} exceeds the u32 range"))?;
+    if let Some(v) = fields.get("max_retries") {
+        b.max_retries = u32_field(v, "backoff.max_retries")?;
     }
     Ok(b)
 }
 
-fn storm(val: &Val, index: usize) -> Result<StormEvent, String> {
-    let context = format!("storms[{index}]");
-    let at = val
+/// The required `at_us` field of a storm or churn entry.
+fn at(fields: &BTreeMap<String, Json>, context: &str) -> Result<SimTime, String> {
+    let v = fields
         .get("at_us")
-        .ok_or_else(|| format!("{context}: missing field 'at_us'"))
-        .and_then(|v| time_us(v, &format!("{context}.at_us")))?;
-    let global = matches!(val.get("global"), Some(Val::Bool(true)));
-    let did = match (global, val.get("did")) {
+        .ok_or_else(|| format!("{context}: missing field 'at_us'"))?;
+    Ok(SimTime::from_ps(time_us(v, &format!("{context}.at_us"))?))
+}
+
+fn storm(val: &Json, index: usize) -> Result<StormEvent, String> {
+    let context = format!("storms[{index}]");
+    let fields = object(val, &context, &["at_us", "did", "global"])?;
+    let at = at(fields, &context)?;
+    let global = match fields.get("global") {
+        None => false,
+        Some(v) => v.as_bool().ok_or_else(|| {
+            format!(
+                "{context}.global: expected a boolean, got {}",
+                v.type_name()
+            )
+        })?,
+    };
+    let did = match (global, fields.get("did")) {
         (true, Some(_)) => {
             return Err(format!(
                 "{context}: 'global' and 'did' are mutually exclusive"
             ));
         }
         (true, None) => None,
-        (false, Some(v)) => {
-            let n = u64_field(v, &format!("{context}.did"))?;
-            let did = u32::try_from(n)
-                .map_err(|_| format!("{context}.did: {n} exceeds the u32 range"))?;
-            Some(Did::new(did))
-        }
+        (false, Some(v)) => Some(Did::new(u32_field(v, &format!("{context}.did"))?)),
         (false, None) => {
             return Err(format!("{context}: needs either 'did' or 'global': true"));
         }
     };
-    Ok(StormEvent {
-        at: SimTime::from_ps(at),
-        did,
-    })
+    Ok(StormEvent { at, did })
 }
 
-fn churn(val: &Val, index: usize) -> Result<ChurnEvent, String> {
+fn churn(val: &Json, index: usize) -> Result<ChurnEvent, String> {
     let context = format!("churns[{index}]");
-    let at = val
-        .get("at_us")
-        .ok_or_else(|| format!("{context}: missing field 'at_us'"))
-        .and_then(|v| time_us(v, &format!("{context}.at_us")))?;
-    let n = val
+    let fields = object(val, &context, &["at_us", "did"])?;
+    let at = at(fields, &context)?;
+    let did = fields
         .get("did")
         .ok_or_else(|| format!("{context}: missing field 'did'"))
-        .and_then(|v| u64_field(v, &format!("{context}.did")))?;
-    let did = u32::try_from(n).map_err(|_| format!("{context}.did: {n} exceeds the u32 range"))?;
+        .and_then(|v| u32_field(v, &format!("{context}.did")))?;
     Ok(ChurnEvent {
-        at: SimTime::from_ps(at),
+        at,
         did: Did::new(did),
     })
 }
@@ -382,6 +214,7 @@ fn churn(val: &Val, index: usize) -> Result<ChurnEvent, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::MAX_PRI_LATENCY_US;
 
     const GOOD: &str = r#"{
         "schema": "fault_plan/v1",
@@ -424,6 +257,19 @@ mod tests {
         assert_eq!(plan, FaultPlan::none());
     }
 
+    /// Asserts that `{"schema": "fault_plan/v1", <fields>}` is rejected
+    /// with an error containing `needle`, for each `(fields, needle)`.
+    fn assert_rejected(cases: &[(&str, &str)]) {
+        for (fields, needle) in cases {
+            let text = format!(r#"{{"schema": "fault_plan/v1", {fields}}}"#);
+            let err = FaultPlan::from_json(&text).unwrap_err();
+            assert!(
+                err.contains(needle),
+                "{fields}: expected {needle:?} in {err}"
+            );
+        }
+    }
+
     #[test]
     fn rejects_malformed_json() {
         for bad in [
@@ -437,6 +283,12 @@ mod tests {
             let err = FaultPlan::from_json(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad:?} must fail with a message");
         }
+        // A repeated key is an error where it repeats, not "first wins".
+        let err = FaultPlan::from_json(
+            r#"{"schema":"fault_plan/v1","fault_rate":0.5,"fault_rate":0.01}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("byte 43: duplicate key"), "{err}");
     }
 
     #[test]
@@ -449,39 +301,73 @@ mod tests {
 
     #[test]
     fn rejects_mistyped_and_out_of_range_fields() {
-        let err = FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "seed": "x"}"#).unwrap_err();
-        assert!(err.contains("seed"), "{err}");
-        let err = FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "seed": 1.5}"#).unwrap_err();
-        assert!(err.contains("integer"), "{err}");
-        let err =
-            FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "fault_rate": 2.0}"#).unwrap_err();
-        assert!(err.contains("fault_rate"), "{err}");
-        let err = FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "pri_latency_us": -1}"#)
-            .unwrap_err();
-        assert!(err.contains("non-negative"), "{err}");
-        let err = FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "storm_period_us": 0}"#)
-            .unwrap_err();
-        assert!(err.contains("storm_period"), "{err}");
+        assert_rejected(&[
+            (r#""seed": "x""#, "seed"),
+            (r#""seed": 1.5"#, "integer"),
+            // Integers past 2^53 would load rounded or saturated.
+            (r#""seed": 9007199254740993"#, "seed"),
+            (r#""seed": 12345678901234567"#, "seed"),
+            (r#""seed": 18446744073709551616"#, "seed"),
+            (
+                r#""backoff": {"base_slots": 18446744073709551615, "cap_slots": 18446744073709551615}"#,
+                "backoff.base_slots",
+            ),
+            (r#""fault_rate": 2.0"#, "fault_rate"),
+            (r#""pri_latency_us": -1"#, "non-negative"),
+            (r#""pri_latency_us": 1000000001"#, "pri_latency"),
+            (r#""pri_latency_us": 1e300"#, "pri_latency"),
+            (r#""storm_period_us": 0"#, "storm_period"),
+            (r#""storm_period_us": 1e300"#, "storm_period_us"),
+        ]);
+        // The bounds themselves load exactly.
+        let plan = FaultPlan::from_json(
+            r#"{"schema": "fault_plan/v1", "seed": 9007199254740991, "pri_latency_us": 1e9}"#,
+        )
+        .unwrap();
+        assert_eq!(plan.seed, (1 << 53) - 1);
+        assert_eq!(plan.pri_latency, SimDuration::from_us(MAX_PRI_LATENCY_US));
     }
 
     #[test]
     fn rejects_bad_storm_and_churn_entries() {
-        let err = FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "storms": [{"at_us": 1}]}"#)
-            .unwrap_err();
-        assert!(err.contains("'did' or 'global'"), "{err}");
-        let err = FaultPlan::from_json(
-            r#"{"schema": "fault_plan/v1", "storms": [{"at_us": 1, "did": 0, "global": true}]}"#,
-        )
-        .unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
-        let err = FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "storms": [{"did": 0}]}"#)
-            .unwrap_err();
-        assert!(err.contains("at_us"), "{err}");
-        let err = FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "churns": [{"at_us": 1}]}"#)
-            .unwrap_err();
-        assert!(err.contains("churns[0]"), "{err}");
-        let err = FaultPlan::from_json(r#"{"schema": "fault_plan/v1", "churns": 3}"#).unwrap_err();
-        assert!(err.contains("array"), "{err}");
+        assert_rejected(&[
+            (r#""storms": [{"at_us": 1}]"#, "'did' or 'global'"),
+            (
+                r#""storms": [{"at_us": 1, "did": 0, "global": true}]"#,
+                "mutually exclusive",
+            ),
+            (r#""storms": [{"did": 0}]"#, "at_us"),
+            (
+                r#""storms": [{"at_us": 1, "global": "yes", "did": 4}]"#,
+                "storms[0].global: expected a boolean",
+            ),
+            (
+                r#""storms": [{"at_us": 1e300, "did": 0}]"#,
+                "storms[0].at_us",
+            ),
+            (r#""storms": [3]"#, "storms[0]: expected an object"),
+            (r#""churns": [{"at_us": 1}]"#, "churns[0]"),
+            (r#""churns": 3"#, "array"),
+        ]);
+    }
+
+    #[test]
+    fn rejects_unknown_keys() {
+        assert_rejected(&[
+            (r#""fault_rat": 0.5"#, "unknown key 'fault_rat'"),
+            (
+                r#""backoff": {"base_slot": 2}"#,
+                "unknown key 'backoff.base_slot'",
+            ),
+            (
+                r#""storms": [{"at_us": 1, "did": 0}, {"at_us": 2, "global": true, "dids": [3]}]"#,
+                "unknown key 'storms[1].dids'",
+            ),
+            (
+                r#""churns": [{"at_us": 1, "did": 0, "slab": 9}]"#,
+                "unknown key 'churns[0].slab'",
+            ),
+        ]);
     }
 
     #[test]
@@ -492,5 +378,10 @@ mod tests {
         assert!(!err.is_empty());
         let err = FaultPlan::from_json("{\"schema\": \"plan-\u{00e9}\"}").unwrap_err();
         assert!(err.contains("plan-\u{00e9}"), "{err}");
+        // Every JSON escape decodes, so both spell the same schema tag.
+        for slash in [r"\/".to_string(), format!("{}u002f", '\\')] {
+            let text = format!(r#"{{"schema": "fault_plan{slash}v1", "seed": 3}}"#);
+            assert_eq!(FaultPlan::from_json(&text).unwrap().seed, 3, "{text}");
+        }
     }
 }

@@ -54,7 +54,7 @@ pub use error::SimError;
 pub use experiment::{
     parallel_map, sweep_specs_parallel, ExperimentPoint, SweepSpec, PAPER_TENANT_COUNTS,
 };
-pub use faults::{BackoffPolicy, ChurnEvent, FaultPlan, StormEvent};
+pub use faults::{BackoffPolicy, ChurnEvent, FaultPlan, StormEvent, MAX_PRI_LATENCY_US};
 pub use hypersio_mem::WalkGeometry;
 pub use latency::LatencyStats;
 pub use model::{Simulation, StageTimings};

@@ -96,18 +96,6 @@ pub struct SimParams {
     /// and hence the whole report — is unchanged by the budget; only
     /// simulator wall time varies.
     pub table_budget: Option<u64>,
-    /// Arrival slots processed per batch frame of the pipeline loop
-    /// (default 8).
-    ///
-    /// An execution-layout knob, not a model parameter: each frame chains
-    /// its packets through the stages in exact arrival order (a packet's
-    /// DevTLB installs must be visible to the next packet's probe), so
-    /// every batch size produces bit-identical reports and event streams —
-    /// the differential suite pins sizes 1, 2, 8, and 32 against each
-    /// other. Batching pays inside the stages: a packet's translation
-    /// requests probe the DevTLB/PB as one batch over the SoA tag arrays,
-    /// and its outstanding walks coalesce in the IOMMU's walk memo.
-    pub batch_size: usize,
 }
 
 impl SimParams {
@@ -128,7 +116,6 @@ impl SimParams {
             per_tenant: false,
             fault_plan: FaultPlan::none(),
             table_budget: None,
-            batch_size: 8,
         }
     }
 
@@ -199,18 +186,6 @@ impl SimParams {
     /// budget.
     pub fn with_table_budget(mut self, bytes: u64) -> Self {
         self.table_budget = Some(bytes);
-        self
-    }
-
-    /// Sets the pipeline batch-frame size (see [`SimParams::batch_size`]).
-    /// Results are bit-identical for every size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        assert!(batch >= 1, "batch size must be at least 1");
-        self.batch_size = batch;
         self
     }
 }
@@ -309,18 +284,6 @@ mod tests {
             SimParams::paper().with_table_budget(64 << 20).table_budget,
             Some(64 << 20)
         );
-    }
-
-    #[test]
-    fn batch_builder() {
-        assert_eq!(SimParams::paper().batch_size, 8);
-        assert_eq!(SimParams::paper().with_batch(32).batch_size, 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be at least 1")]
-    fn zero_batch_rejected() {
-        let _ = SimParams::paper().with_batch(0);
     }
 
     #[test]

@@ -188,7 +188,8 @@ cli "$d/shard_retry" sim \
 cmp "$d/shard_clean.json" "$d/shard_retry.json"
 
 # Fault injection: a fault_plan/v1 file plus CLI overrides drive storms,
-# churn and IO page faults; the outputs validate, and a bad plan must be
+# churn and IO page faults; the outputs validate, and each bad plan (a
+# bogus schema, an unknown key, an out-of-range PRI latency) must be
 # rejected with a nonzero exit.
 section fault
 cat > "$d/plan.json" <<'EOF'
@@ -211,9 +212,14 @@ obs_validate \
   "$d/events.jsonl" "$d/timeseries.csv" \
   "$d/report.json" "$d/report_flags.json"
 echo '{"schema": "bogus"}' > "$d/bad.json"
-if cli "$d/bad" sim --fault-plan "$d/bad.json"; then
-  echo "expected a nonzero exit for a bad fault plan" >&2
-  exit 1
-fi
+echo '{"schema": "fault_plan/v1", "fault_rat": 0.5}' > "$d/bad_key.json"
+echo '{"schema": "fault_plan/v1", "fault_rate": 0.5, "pri_latency_us": 1e300}' \
+  > "$d/bad_latency.json"
+for bad in bad bad_key bad_latency; do
+  if cli "$d/$bad" sim --fault-plan "$d/$bad.json"; then
+    echo "expected a nonzero exit for the bad fault plan $bad.json" >&2
+    exit 1
+  fi
+done
 
 echo "smoke: all sections passed; outputs in $out"

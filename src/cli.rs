@@ -6,7 +6,7 @@
 use std::fmt;
 
 use hypersio_cache::PolicyKind;
-use hypersio_sim::{FaultPlan, SimParams, WalkGeometry};
+use hypersio_sim::{FaultPlan, SimParams, WalkGeometry, MAX_PRI_LATENCY_US};
 use hypersio_trace::{Interleaving, WorkloadKind};
 use hypersio_types::SimDuration;
 use hypertrio_core::TranslationConfig;
@@ -361,6 +361,23 @@ FAULT INJECTION (sim only; deterministic, seeded):
     --pri-latency-us <F>   PRI page-request service latency in us    [10]
 ";
 
+/// Parses a `flag`'s value: a whole number of simulated microseconds, at
+/// least 1, whose picosecond count fits the simulation clock.
+fn positive_us(flag: &str, value: &str) -> Result<u64, ParseError> {
+    let us: u64 = value
+        .parse()
+        .map_err(|e| ParseError(format!("bad {flag}: {e}")))?;
+    if us == 0 {
+        return Err(ParseError(format!("{flag} must be at least 1 (us)")));
+    }
+    if us.checked_mul(1_000_000).is_none() {
+        return Err(ParseError(format!(
+            "{flag} {us} overflows the picosecond clock"
+        )));
+    }
+    Ok(us)
+}
+
 /// Parses a full argument vector (excluding the program name).
 ///
 /// # Errors
@@ -435,7 +452,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 parsed.interleaving = match value.as_str() {
                     "rr1" => Interleaving::round_robin(1),
                     "rr4" => Interleaving::round_robin(4),
-                    "rand1" => Interleaving::random(1, parsed.seed),
+                    // Seeded from the final --seed after the loop.
+                    "rand1" => Interleaving::random(1, 0),
                     other => return Err(ParseError(format!("unknown interleaving {other:?}"))),
                 };
             }
@@ -483,14 +501,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 }
             }
             "--timeseries-out" => parsed.timeseries_out = Some(value.clone()),
-            "--window-us" => {
-                parsed.window_us = value
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --window-us: {e}")))?;
-                if parsed.window_us == 0 {
-                    return Err(ParseError("--window-us must be at least 1".into()));
-                }
-            }
+            "--window-us" => parsed.window_us = positive_us(flag, value)?,
             "--report-json" => parsed.report_json = Some(value.clone()),
             "--spans-out" => parsed.spans_out = Some(value.clone()),
             "--spans-cap" => {
@@ -501,28 +512,10 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     return Err(ParseError("--spans-cap must be at least 1".into()));
                 }
             }
-            "--checkpoint-every-us" => {
-                let every: u64 = value
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --checkpoint-every-us: {e}")))?;
-                if every == 0 {
-                    return Err(ParseError(
-                        "--checkpoint-every-us must be at least 1 (us)".into(),
-                    ));
-                }
-                parsed.checkpoint_every_us = Some(every);
-            }
+            "--checkpoint-every-us" => parsed.checkpoint_every_us = Some(positive_us(flag, value)?),
             "--checkpoint-out" => parsed.checkpoint_out = Some(value.clone()),
             "--resume-from" => parsed.resume_from = Some(value.clone()),
-            "--stop-after-us" => {
-                let at: u64 = value
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --stop-after-us: {e}")))?;
-                if at == 0 {
-                    return Err(ParseError("--stop-after-us must be at least 1 (us)".into()));
-                }
-                parsed.stop_after_us = Some(at);
-            }
+            "--stop-after-us" => parsed.stop_after_us = Some(positive_us(flag, value)?),
             "--rss-limit-mb" => {
                 let mb: u64 = value
                     .parse()
@@ -549,15 +542,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 );
             }
             "--fault-plan" => parsed.fault_plan = Some(value.clone()),
-            "--inv-storm" => {
-                let period: u64 = value
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --inv-storm: {e}")))?;
-                if period == 0 {
-                    return Err(ParseError("--inv-storm must be at least 1 (us)".into()));
-                }
-                parsed.inv_storm_us = Some(period);
-            }
+            "--inv-storm" => parsed.inv_storm_us = Some(positive_us(flag, value)?),
             "--fault-rate" => {
                 let rate: f64 = value
                     .parse()
@@ -573,10 +558,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 let latency: f64 = value
                     .parse()
                     .map_err(|e| ParseError(format!("bad --pri-latency-us: {e}")))?;
-                if !latency.is_finite() || !(0.0..=1e9).contains(&latency) {
-                    return Err(ParseError(
-                        "--pri-latency-us must be a finite non-negative number of us".into(),
-                    ));
+                if !latency.is_finite() || !(0.0..=MAX_PRI_LATENCY_US as f64).contains(&latency) {
+                    return Err(ParseError(format!(
+                        "--pri-latency-us must be a finite non-negative number of us, \
+                         at most {MAX_PRI_LATENCY_US}"
+                    )));
                 }
                 parsed.pri_latency_us = Some(latency);
             }
@@ -584,8 +570,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         }
     }
 
-    // Cross-flag constraints, checked after the loop so flag order never
-    // matters.
+    // Cross-flag settings and constraints, applied after the loop so flag
+    // order never matters.
+    if let Interleaving::Random { burst, .. } = parsed.interleaving {
+        parsed.interleaving = Interleaving::random(burst, parsed.seed);
+    }
     if parsed.shards > parsed.tenants {
         return Err(ParseError(format!(
             "--shards {} exceeds --tenants {}: every shard needs at least one tenant",
@@ -742,6 +731,13 @@ mod tests {
     }
 
     #[test]
+    fn rand_interleave_seed_ignores_flag_order() {
+        let seed_first = parse(&argv("sim --tenants 16 --seed 5 --interleave rand1")).unwrap();
+        let seed_last = parse(&argv("sim --tenants 16 --interleave rand1 --seed 5")).unwrap();
+        assert_eq!(seed_first, seed_last);
+    }
+
+    #[test]
     fn errors_are_descriptive() {
         for (input, needle) in [
             ("frobnicate", "unknown command"),
@@ -759,6 +755,7 @@ mod tests {
             ("sim --frob 1", "unknown option"),
             ("sim --inv-storm 0", "at least 1"),
             ("sim --inv-storm x", "bad --inv-storm"),
+            ("sim --inv-storm 18446744073709551615", "overflows"),
             ("sim --fault-rate 1.5", "0.0 ..= 1.0"),
             ("sim --fault-rate NaN", "0.0 ..= 1.0"),
             ("sim --fault-rate x", "bad --fault-rate"),
@@ -855,6 +852,7 @@ mod tests {
         for (input, needle) in [
             ("sim --trace-cap 0", "at least 1"),
             ("sim --window-us 0", "at least 1"),
+            ("sim --window-us 18446744073709551615", "overflows"),
             ("sim --spans-cap 0", "at least 1"),
             ("sim --spans-cap x", "bad --spans-cap"),
             ("sim --trace-out", "missing value"),
@@ -955,6 +953,14 @@ mod tests {
             ("sim --checkpoint-every-us x", "bad --checkpoint-every-us"),
             ("sim --checkpoint-every-us 5", "needs --checkpoint-out"),
             ("sim --stop-after-us 0", "at least 1"),
+            (
+                "sim --checkpoint-out c.bin --stop-after-us 18446744073709551615",
+                "overflows",
+            ),
+            (
+                "sim --checkpoint-out c.bin --checkpoint-every-us 18446744073709551615",
+                "overflows",
+            ),
             ("sim --stop-after-us 5", "needs --checkpoint-out"),
             ("sim --rss-limit-mb 0", "at least 1"),
             ("sim --max-shard-attempts 0", "at least 1"),
