@@ -5,7 +5,10 @@
 //! configuration over a streaming trace with a fixed number of requests
 //! per tenant and a lazy, LRU-evicted pool of tenant spaces (views of one
 //! canonical table pair) whose cap is derived from `BUDGET_MB`, then
-//! records wall-clock throughput and the process peak RSS. The output
+//! records wall-clock throughput, the process peak RSS and the modeled
+//! DRAM reads per packet (the model's work per packet, which grows with
+//! the tenant count as the walk caches thrash, so host cost can be read
+//! against it). The output
 //! (`BENCH_scale.json`, schema `bench_scale/v1`) is the committed evidence
 //! that host memory stays bounded while the tenant count grows three
 //! orders of magnitude.
@@ -55,6 +58,7 @@ struct PointResult {
     requests: u64,
     utilization: f64,
     peak_rss_bytes: u64,
+    dram_reads_per_packet: f64,
 }
 
 fn run_point(tenants: u32, reqs: u64, warmup: u64, budget_bytes: u64) -> PointResult {
@@ -74,6 +78,8 @@ fn run_point(tenants: u32, reqs: u64, warmup: u64, budget_bytes: u64) -> PointRe
         requests: report.translation_requests,
         utilization: report.utilization,
         peak_rss_bytes: bench::peak_rss_bytes(),
+        dram_reads_per_packet: report.iommu.dram_accesses as f64
+            / report.packets_processed.max(1) as f64,
     }
 }
 
@@ -89,7 +95,8 @@ fn emit(points: &[PointResult], reqs: u64, warmup: u64, budget_bytes: u64) -> St
             out,
             "    {{\"tenants\": {}, \"wall_s\": {:.6}, \"packets\": {}, \
              \"packets_per_sec\": {:.1}, \"translation_requests\": {}, \
-             \"utilization\": {:.6}, \"peak_rss_bytes\": {}}}",
+             \"utilization\": {:.6}, \"peak_rss_bytes\": {}, \
+             \"dram_reads_per_packet\": {:.3}}}",
             p.tenants,
             p.wall_s,
             p.packets,
@@ -97,6 +104,7 @@ fn emit(points: &[PointResult], reqs: u64, warmup: u64, budget_bytes: u64) -> St
             p.requests,
             p.utilization,
             p.peak_rss_bytes,
+            p.dram_reads_per_packet,
         );
         out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
     }
@@ -182,11 +190,13 @@ fn main() -> ExitCode {
     for tenants in TENANT_POINTS.into_iter().filter(|&t| t <= max_tenants) {
         let p = run_point(tenants, reqs, warmup, budget_bytes);
         println!(
-            "{:>9} tenants: {:>8.3} s wall, {:>12.0} packets/s, util {:.3}, peak RSS {:>6} MiB",
+            "{:>9} tenants: {:>8.3} s wall, {:>12.0} packets/s, util {:.3}, \
+             {:>5.1} DRAM reads/packet, peak RSS {:>6} MiB",
             p.tenants,
             p.wall_s,
             p.packets as f64 / p.wall_s.max(1e-9),
             p.utilization,
+            p.dram_reads_per_packet,
             p.peak_rss_bytes >> 20,
         );
         if let Some(limit_mb) = rss_limit_mb {

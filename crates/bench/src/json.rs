@@ -152,6 +152,7 @@ pub fn validate_scale_schema(doc: &Json) -> Result<(), String> {
             "translation_requests",
             "utilization",
             "peak_rss_bytes",
+            "dram_reads_per_packet",
         ] {
             point
                 .get(field)
@@ -727,10 +728,12 @@ mod tests {
             "points": [
                 {"tenants": 1000, "wall_s": 0.1, "packets": 8000,
                  "packets_per_sec": 80000.0, "translation_requests": 24000,
-                 "utilization": 0.9, "peak_rss_bytes": 10485760},
+                 "utilization": 0.9, "peak_rss_bytes": 10485760,
+                 "dram_reads_per_packet": 20.5},
                 {"tenants": 10000, "wall_s": 1.0, "packets": 80000,
                  "packets_per_sec": 80000.0, "translation_requests": 240000,
-                 "utilization": 0.8, "peak_rss_bytes": 20971520}
+                 "utilization": 0.8, "peak_rss_bytes": 20971520,
+                 "dram_reads_per_packet": 31.25}
             ]
         }"#
         .to_string()
@@ -749,6 +752,9 @@ mod tests {
         assert!(err.contains("peak_rss_bytes"), "{err}");
         let doc = parse(&valid_scale_doc().replace("table_budget_bytes", "budget")).unwrap();
         assert!(validate_scale_schema(&doc).is_err());
+        let doc = parse(&valid_scale_doc().replace("dram_reads_per_packet", "reads")).unwrap();
+        let err = validate_scale_schema(&doc).unwrap_err();
+        assert!(err.contains("dram_reads_per_packet"), "{err}");
         let doc = parse(&valid_scale_doc().replace("bench_scale/v1", "v999")).unwrap();
         assert!(validate_scale_schema(&doc).is_err());
         let doc = parse(

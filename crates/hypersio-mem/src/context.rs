@@ -86,12 +86,13 @@ impl hypersio_cache::WordCodec for BdfKey {
 /// ```
 #[derive(Debug)]
 pub struct ContextCache {
-    /// The architected context table (in "memory"): every configured device.
-    /// Probed on every context-cache miss — at 1024 tenants the 64-entry
-    /// cache thrashes and nearly every translate lands here — so it uses the
-    /// cheap Fx hasher. The map is never iterated (eviction order comes from
-    /// the fronting cache), so hash order cannot affect behaviour.
-    table: std::collections::HashMap<Bdf, ContextEntry, hypersio_types::fxhash::FxBuildHasher>,
+    /// The architected context table (in "memory"): every configured
+    /// device, indexed by routing ID and holding its DID + 1 (0: not
+    /// configured). Probed on every context-cache miss — at 1024 tenants
+    /// the 64-entry cache thrashes and nearly every translate lands here —
+    /// so a probe is one load. It grows to cover the largest installed
+    /// routing ID.
+    table: Vec<u32>,
     cache: FullyAssocCache<BdfKey, ContextEntry>,
 }
 
@@ -102,15 +103,27 @@ impl ContextCache {
     /// Creates a context cache with `entries` slots (LRU).
     pub fn new(entries: usize) -> Self {
         ContextCache {
-            table: std::collections::HashMap::default(),
+            table: Vec::new(),
             cache: FullyAssocCache::new(entries, PolicyKind::Lru),
         }
     }
 
     /// Installs (or replaces) the context entry for `bdf` in the in-memory
     /// context table, as the hypervisor does when assigning a VF.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry's DID is `u32::MAX`.
     pub fn install(&mut self, bdf: Bdf, entry: ContextEntry) {
-        self.table.insert(bdf, entry);
+        let id = bdf.routing_id() as usize;
+        if id >= self.table.len() {
+            self.table.resize(id + 1, 0);
+        }
+        self.table[id] = entry
+            .did()
+            .raw()
+            .checked_add(1)
+            .expect("DID u32::MAX is reserved");
     }
 
     /// Looks up the context entry for `bdf`, fetching from memory on a miss.
@@ -125,7 +138,10 @@ impl ContextCache {
         if let Some(entry) = self.cache.lookup(&key, now) {
             return Some((*entry, 0));
         }
-        let entry = *self.table.get(&bdf)?;
+        let entry = match self.table.get(bdf.routing_id() as usize) {
+            Some(&did) if did != 0 => ContextEntry::new(Did::new(did - 1)),
+            _ => return None,
+        };
         self.cache.insert(key, entry, now);
         Some((entry, CONTEXT_MISS_READS))
     }
@@ -196,6 +212,25 @@ mod tests {
         cc.invalidate(Bdf::new(9));
         let (_, reads) = cc.lookup_or_fetch(Bdf::new(9), 1).unwrap();
         assert_eq!(reads, 2);
+    }
+
+    #[test]
+    fn table_is_indexed_by_the_full_routing_id() {
+        let mut cc = ContextCache::new(4);
+        let far = Bdf::from_routing_id(0x2_0005);
+        cc.install(far, ContextEntry::new(Did::new(70_000)));
+        cc.install(Bdf::new(5), ContextEntry::new(Did::new(0)));
+        assert_eq!(
+            cc.lookup_or_fetch(far, 0).unwrap().0.did(),
+            Did::new(70_000)
+        );
+        assert_eq!(
+            cc.lookup_or_fetch(Bdf::new(5), 1).unwrap().0.did(),
+            Did::new(0)
+        );
+        for unconfigured in [Bdf::new(4), Bdf::new(6), Bdf::from_routing_id(0x3_0000)] {
+            assert_eq!(cc.lookup_or_fetch(unconfigured, 2), None, "{unconfigured}");
+        }
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! cached translation (DevTLB, walk caches, memo) remains correct without
 //! shootdowns. Eviction models the simulator reclaiming its own memory,
 //! not the hypervisor unmapping a tenant.
+//!
+//! The lazy pool's residency is kept in flat arrays: a per-DID slot
+//! number and a slab of resident spaces with their touch ticks, so the
+//! per-translate residency check and touch are array loads, not hash
+//! probes. Only the recency queue and the slab overrides of migrated
+//! tenants are kept beside them.
 
 use std::collections::VecDeque;
 
@@ -76,12 +82,16 @@ struct LazyPool {
     /// The canonical (DID-0, slab-0) build every space is stamped from.
     canonical: TenantSpace,
     tenants: u32,
-    resident: FxMap<u32, TenantSpace>,
-    /// Tick of each resident space's most recent touch.
-    last_touch: FxMap<u32, u64>,
-    /// Touch order, oldest first; entries whose tick no longer matches
-    /// `last_touch` are stale and skipped (lazy deletion). Compacted when
-    /// it outgrows the resident set so memory stays bounded.
+    /// Per DID: the index + 1 of its slot in `slots`, or 0 when the DID is
+    /// not resident. Grows to cover a DID on its first build.
+    slot_of: Vec<u32>,
+    /// Resident spaces. A slot listed in `free` holds an evicted space
+    /// that the next build overwrites.
+    slots: Vec<Resident>,
+    free: Vec<u32>,
+    /// Touch order, oldest first; entries whose tick no longer matches the
+    /// DID's touch tick are stale and skipped (lazy deletion). Compacted
+    /// when it outgrows the resident set so memory stays bounded.
     lru: VecDeque<(u64, u32)>,
     /// Current host slab of tenants migrated away from their default
     /// (`slab == did`); consulted when re-stamping after eviction.
@@ -90,6 +100,12 @@ struct LazyPool {
     tick: u64,
     builds: u64,
     evictions: u64,
+}
+
+/// One resident space and the tick of its most recent touch.
+struct Resident {
+    space: TenantSpace,
+    touched: u64,
 }
 
 impl SpacePool {
@@ -141,8 +157,9 @@ impl SpacePool {
             variant: Variant::Lazy(Box::new(LazyPool {
                 canonical,
                 tenants,
-                resident: FxMap::default(),
-                last_touch: FxMap::default(),
+                slot_of: Vec::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
                 lru: VecDeque::new(),
                 slab_overrides: FxMap::default(),
                 max_resident,
@@ -185,25 +202,15 @@ impl SpacePool {
         let key = did.raw();
         pool.tick += 1;
         let tick = pool.tick;
-        if pool.resident.contains_key(&key) {
-            pool.last_touch.insert(key, tick);
+        if let Some(slot) = pool.slot(key) {
+            pool.slots[slot].touched = tick;
             pool.push_lru(tick, key);
             return false;
         }
-        while pool.resident.len() >= pool.max_resident {
-            match pool.lru.pop_front() {
-                Some((t, d)) if pool.last_touch.get(&d) == Some(&t) => {
-                    pool.resident.remove(&d);
-                    pool.last_touch.remove(&d);
-                    pool.evictions += 1;
-                }
-                Some(_) => continue, // stale entry, skip
-                None => break,       // resident map and LRU out of sync: bug
-            }
-        }
+        while pool.resident() >= pool.max_resident && pool.evict_lru() {}
         let slab = pool.slab_overrides.get(&key).copied().unwrap_or(key as u64);
-        pool.resident.insert(key, pool.canonical.stamp(did, slab));
-        pool.last_touch.insert(key, tick);
+        let space = pool.canonical.stamp(did, slab);
+        pool.insert(key, space, tick);
         pool.push_lru(tick, key);
         pool.builds += 1;
         true
@@ -219,10 +226,12 @@ impl SpacePool {
     pub fn get(&self, did: Did) -> &TenantSpace {
         match &self.variant {
             Variant::Dense(spaces) => &spaces[did.index()],
-            Variant::Lazy(pool) => pool
-                .resident
-                .get(&did.raw())
-                .expect("ensure() must materialise a space before get()"),
+            Variant::Lazy(pool) => {
+                let slot = pool
+                    .slot(did.raw())
+                    .expect("ensure() must materialise a space before get()");
+                &pool.slots[slot].space
+            }
         }
     }
 
@@ -240,8 +249,8 @@ impl SpacePool {
             Variant::Lazy(pool) => {
                 assert!(did.raw() < pool.tenants, "unknown tenant {did}");
                 pool.slab_overrides.insert(did.raw(), slab);
-                if let Some(space) = pool.resident.get_mut(&did.raw()) {
-                    space.migrate_to_slab(slab);
+                if let Some(slot) = pool.slot(did.raw()) {
+                    pool.slots[slot].space.migrate_to_slab(slab);
                 }
             }
         }
@@ -259,7 +268,7 @@ impl SpacePool {
             Variant::Lazy(pool) => PoolStats {
                 builds: pool.builds,
                 evictions: pool.evictions,
-                resident: pool.resident.len(),
+                resident: pool.resident(),
                 max_resident: pool.max_resident,
             },
         }
@@ -281,11 +290,7 @@ impl SpacePool {
     pub fn resident_dids(&self) -> Vec<Did> {
         match &self.variant {
             Variant::Dense(spaces) => (0..spaces.len() as u32).map(Did::new).collect(),
-            Variant::Lazy(pool) => {
-                let mut dids: Vec<u32> = pool.resident.keys().copied().collect();
-                dids.sort_unstable();
-                dids.into_iter().map(Did::new).collect()
-            }
+            Variant::Lazy(pool) => pool.resident_touches().map(|(did, _)| did).collect(),
         }
     }
 
@@ -302,17 +307,7 @@ impl SpacePool {
         };
         pool.max_resident = (pool.max_resident / 2).max(1);
         let before = pool.evictions;
-        while pool.resident.len() > pool.max_resident {
-            match pool.lru.pop_front() {
-                Some((t, d)) if pool.last_touch.get(&d) == Some(&t) => {
-                    pool.resident.remove(&d);
-                    pool.last_touch.remove(&d);
-                    pool.evictions += 1;
-                }
-                Some(_) => continue, // stale entry, skip
-                None => break,       // resident map and LRU out of sync: bug
-            }
-        }
+        while pool.resident() > pool.max_resident && pool.evict_lru() {}
         pool.evictions - before
     }
 
@@ -353,12 +348,9 @@ impl SpacePool {
                     out.push(did as u64);
                     out.push(slab);
                 }
-                let mut resident: Vec<(u32, u64)> =
-                    pool.last_touch.iter().map(|(&d, &t)| (d, t)).collect();
-                resident.sort_unstable();
-                out.push(resident.len() as u64);
-                for (did, touched) in resident {
-                    out.push(did as u64);
+                out.push(pool.resident() as u64);
+                for (did, touched) in pool.resident_touches() {
+                    out.push(did.raw() as u64);
                     out.push(touched);
                 }
                 out.push(pool.lru.len() as u64);
@@ -410,22 +402,22 @@ impl SpacePool {
                     let slab = r.next()?;
                     pool.slab_overrides.insert(did, slab);
                 }
-                pool.resident.clear();
-                pool.last_touch.clear();
+                pool.slot_of.fill(0);
+                pool.slots.clear();
+                pool.free.clear();
                 let resident = r.len_capped(r.remaining() / 2)?;
                 if resident > pool.max_resident {
                     return None;
                 }
                 for _ in 0..resident {
                     let did = u32::try_from(r.next()?).ok()?;
-                    if did >= pool.tenants {
+                    if did >= pool.tenants || pool.slot(did).is_some() {
                         return None;
                     }
                     let touched = r.next()?;
                     let slab = pool.slab_overrides.get(&did).copied().unwrap_or(did as u64);
                     let space = pool.canonical.stamp(Did::new(did), slab);
-                    pool.resident.insert(did, space);
-                    pool.last_touch.insert(did, touched);
+                    pool.insert(did, space, touched);
                 }
                 pool.lru.clear();
                 let lru = r.len_capped(r.remaining() / 2)?;
@@ -442,15 +434,88 @@ impl SpacePool {
 }
 
 impl LazyPool {
+    /// Number of resident spaces.
+    fn resident(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// `did`'s slot index, if it is resident.
+    #[inline]
+    fn slot(&self, did: u32) -> Option<usize> {
+        slot_index(&self.slot_of, did)
+    }
+
+    /// Resident DIDs with their touch ticks, in ascending DID order.
+    fn resident_touches(&self) -> impl Iterator<Item = (Did, u64)> + '_ {
+        self.slot_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != 0)
+            .map(|(did, &slot)| (Did::new(did as u32), self.slots[slot as usize - 1].touched))
+    }
+
+    /// Makes `space` resident for `did`, touched at `tick`.
+    fn insert(&mut self, did: u32, space: TenantSpace, tick: u64) {
+        let resident = Resident {
+            space,
+            touched: tick,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = resident;
+                slot
+            }
+            None => {
+                self.slots.push(resident);
+                self.slots.len() as u32 - 1
+            }
+        };
+        let did = did as usize;
+        if did >= self.slot_of.len() {
+            self.slot_of.resize(did + 1, 0);
+        }
+        self.slot_of[did] = slot + 1;
+    }
+
+    /// Evicts the least-recently-touched resident space, skipping stale
+    /// queue entries. Returns `false` if the queue ran dry first (the
+    /// resident set and the queue out of sync: a bug).
+    fn evict_lru(&mut self) -> bool {
+        while let Some((tick, did)) = self.lru.pop_front() {
+            if touch_tick(&self.slot_of, &self.slots, did) == Some(tick) {
+                let slot = std::mem::take(&mut self.slot_of[did as usize]);
+                self.free.push(slot - 1);
+                self.evictions += 1;
+                return true;
+            }
+        }
+        false
+    }
+
     fn push_lru(&mut self, tick: u64, did: u32) {
         self.lru.push_back((tick, did));
         // Lazy deletion leaves stale entries behind; compact once they
         // dominate so the queue stays O(resident).
-        if self.lru.len() > 2 * self.resident.len().max(32) {
-            let last = &self.last_touch;
-            self.lru.retain(|&(t, d)| last.get(&d) == Some(&t));
+        if self.lru.len() > 2 * self.resident().max(32) {
+            let (slot_of, slots) = (&self.slot_of, &self.slots);
+            self.lru
+                .retain(|&(t, d)| touch_tick(slot_of, slots, d) == Some(t));
         }
     }
+}
+
+/// The slot index `slot_of` records for `did`, if it is resident.
+#[inline]
+fn slot_index(slot_of: &[u32], did: u32) -> Option<usize> {
+    match slot_of.get(did as usize) {
+        Some(&slot) if slot != 0 => Some(slot as usize - 1),
+        _ => None,
+    }
+}
+
+/// The tick of `did`'s most recent touch, if it is resident.
+fn touch_tick(slot_of: &[u32], slots: &[Resident], did: u32) -> Option<u64> {
+    slot_index(slot_of, did).map(|slot| slots[slot].touched)
 }
 
 impl std::fmt::Debug for SpacePool {
@@ -577,20 +642,105 @@ mod tests {
         assert_eq!(stats.evictions, 0);
     }
 
+    /// The lazy pool's recency queue length.
+    fn lru_len(pool: &SpacePool) -> usize {
+        match &pool.variant {
+            Variant::Lazy(inner) => inner.lru.len(),
+            Variant::Dense(_) => unreachable!("a dense pool keeps no queue"),
+        }
+    }
+
     #[test]
     fn lru_queue_stays_bounded_under_retouch() {
         let mut pool = SpacePool::lazy(canonical(), 10, budget_for(4));
         for round in 0..10_000u32 {
             pool.ensure(Did::new(round % 4));
-        }
-        if let Variant::Lazy(inner) = &pool.variant {
+            let bound = 2 * pool.stats().resident.max(32) + 1;
             assert!(
-                inner.lru.len() <= 2 * inner.resident.len().max(32) + 1,
+                lru_len(&pool) <= bound,
                 "lru queue grew to {}",
-                inner.lru.len()
+                lru_len(&pool)
             );
-        } else {
-            unreachable!();
+        }
+        assert_eq!(pool.stats().resident, 4);
+    }
+
+    /// Ensures, migrations and a residency shrink that exercise eviction,
+    /// stale-entry skips, slab overrides and queue compaction.
+    fn scripted_pool() -> SpacePool {
+        let mut pool = SpacePool::lazy(canonical(), 16, budget_for(4));
+        for d in [3u32, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5] {
+            pool.ensure(Did::new(d));
+        }
+        pool.migrate(Did::new(7), 40);
+        pool.migrate(Did::new(5), 41);
+        for d in [7u32, 8, 5, 5, 5] {
+            pool.ensure(Did::new(d));
+        }
+        pool.shrink_residency();
+        for d in [0u32, 7, 15].into_iter().chain([0; 71]).chain([7]) {
+            pool.ensure(Did::new(d));
+        }
+        pool
+    }
+
+    #[test]
+    fn snapshot_words_match_the_hash_map_residency() {
+        // Recorded from the pool that kept residency in two hash maps; the
+        // checkpoint body must not change with the bookkeeping.
+        let pool = scripted_pool();
+        let mut words = Vec::new();
+        pool.snapshot_words(&mut words);
+        assert_eq!(
+            words,
+            [
+                1, 16, 2, 91, 15, 13, 2, 5, 41, 7, 40, 2, 0, 90, 7, 91, 9, 83, 0, 84, 0, 85, 0, 86,
+                0, 87, 0, 88, 0, 89, 0, 90, 0, 91, 7
+            ]
+        );
+        assert_eq!(
+            pool.stats(),
+            PoolStats {
+                builds: 15,
+                evictions: 13,
+                resident: 2,
+                max_resident: 2
+            }
+        );
+        // The words restore into a fresh pool and snapshot back unchanged.
+        let mut restored = SpacePool::lazy(canonical(), 16, budget_for(4));
+        restored
+            .restore_words(&mut hypersio_cache::WordReader::new(&words))
+            .unwrap();
+        let mut again = Vec::new();
+        restored.snapshot_words(&mut again);
+        assert_eq!(again, words);
+        assert_eq!(restored.resident_dids(), vec![Did::new(0), Did::new(7)]);
+        assert_eq!(restored.get(Did::new(7)).host_slab(), 40);
+    }
+
+    #[test]
+    fn restore_rejects_duplicate_and_out_of_range_residents() {
+        let mut words = Vec::new();
+        scripted_pool().snapshot_words(&mut words);
+        // The resident list follows the overrides: count, then
+        // (did, touched) pairs.
+        let list = 11;
+        assert_eq!(&words[list..list + 5], &[2, 0, 90, 7, 91]);
+        for (did, ok) in [(0u64, true), (7, false), (16, false), (u64::MAX, false)] {
+            let mut corrupt = words.clone();
+            // 0 keeps the stream; 7 lists DID 7 twice.
+            corrupt[list + 1] = did;
+            let mut pool = SpacePool::lazy(canonical(), 16, budget_for(4));
+            let restored = pool.restore_words(&mut hypersio_cache::WordReader::new(&corrupt));
+            assert_eq!(restored.is_some(), ok, "first resident {did:#x}");
+            let Variant::Lazy(inner) = &pool.variant else {
+                unreachable!()
+            };
+            // Tables grow only per accepted resident, never from a count
+            // or DID read from the stream.
+            assert!(inner.slot_of.len() <= 16, "{did:#x}");
+            assert!(inner.slots.len() <= 2, "{did:#x}");
         }
     }
 

@@ -356,6 +356,13 @@ impl FaultInjector {
         }
     }
 
+    /// Time (ps) of the earliest scheduled fault not yet applied, if any.
+    pub(crate) fn next_due_ps(&self) -> Option<u64> {
+        let explicit = self.schedule.get(self.next_event).map(|&(at, _)| at);
+        let periodic = self.period_ps.map(|_| self.next_periodic_ps);
+        explicit.into_iter().chain(periodic).min()
+    }
+
     /// Applies one fault. Events with an out-of-range DID are skipped
     /// (plan validation reports them; skipping keeps fuzzed plans safe).
     fn apply<O: Observer>(

@@ -136,16 +136,16 @@ impl Simulation {
             context_entries: params.context_entries,
             scheme: params.translation_scheme,
         };
+        // Shard lanes carry strided global DIDs, so the DID bound is the
+        // highest lane DID + 1, not the lane count.
+        let did_bound =
+            (did_first as u64 + (trace.tenants().max(1) - 1) as u64 * did_stride as u64 + 1) as u32;
         let iommu = if (did_first, did_stride) == (0, 1) && params.table_budget.is_none() {
             let dids: Vec<Did> = (0..trace.tenants()).map(Did::new).collect();
             Iommu::new(iommu_params, b.build_many(&dids))
         } else {
             // Lazy pool: the canonical (DID 0) build plus the DID bound.
-            // Shard lanes carry strided global DIDs, so the bound is the
-            // highest lane DID + 1, not the lane count.
-            let max_did =
-                did_first as u64 + (trace.tenants().max(1) - 1) as u64 * did_stride as u64;
-            let pool = SpacePool::lazy(b.build(), (max_did + 1) as u32, params.table_budget);
+            let pool = SpacePool::lazy(b.build(), did_bound, params.table_budget);
             Iommu::with_pool(iommu_params, pool)
         };
         let devtlb = DevTlb::new(
@@ -153,10 +153,13 @@ impl Simulation {
             config.devtlb_partitions,
             config.devtlb_policy.clone(),
         );
-        let prefetch = config
-            .prefetch
-            .as_ref()
-            .map(|pf| PrefetchUnit::new(pf.buffer_entries, pf.history_len, pf.pages_per_prefetch));
+        // The prefetch unit's SID- and DID-indexed tables grow on first
+        // use; the trace's bounds are what a checkpoint restore accepts.
+        let sids = SidMap::for_trace(&trace);
+        let prefetch = config.prefetch.as_ref().map(|pf| {
+            PrefetchUnit::new(pf.buffer_entries, pf.history_len, pf.pages_per_prefetch)
+                .with_bounds(sids.sid_bound(), did_bound)
+        });
         let ptb = SlotPool::new(config.ptb_entries);
         let walkers = params.iommu_walkers.map(SlotPool::new);
         let pcie_round = params.pcie.round_trip();
@@ -165,7 +168,7 @@ impl Simulation {
         let faults = (!params.fault_plan.is_none())
             .then(|| FaultInjector::new(&params.fault_plan, &inventory, trace.tenants()));
         let state = PipelineState {
-            sids: SidMap::for_trace(&trace),
+            sids,
             completion: CompletionStage::new(
                 params.warmup_packets,
                 params.link.bytes_delivered(1).raw(),
@@ -419,9 +422,9 @@ impl Simulation {
                     Fetched::Exhausted => return true,
                     Fetched::Idle => {
                         // Only backed-off packets remain and none is
-                        // eligible yet; the slot passes empty (fault
-                        // injection only).
-                        st.arrival.skip_slot();
+                        // eligible yet; the empty slots pass up to the next
+                        // retry or fault event (fault injection only).
+                        st.arrival.skip_idle(st.faults.as_ref());
                         continue;
                     }
                     Fetched::Retry(mut work) => {
@@ -488,7 +491,12 @@ impl Simulation {
                 // translation path.
                 if let Some(inj) = st.faults.as_mut() {
                     if !st.lookup.bypass() && inj.packet_blocked(&work.packet, now, obs) {
-                        if work.fault_retries >= inj.max_retries() {
+                        // A retry the simulated clock cannot reach is
+                        // terminal too.
+                        let delay = inj.backoff_slots(work.fault_retries);
+                        if work.fault_retries >= inj.max_retries()
+                            || !st.arrival.retry_in_range(delay)
+                        {
                             st.completion.record_faulted_drop(work.packet.did, now, obs);
                             let Deferred { misses, .. } = work;
                             st.lookup.reclaim(misses);
@@ -497,7 +505,6 @@ impl Simulation {
                             if O::SPANS {
                                 work.span.note_drop(now.as_ps(), true);
                             }
-                            let delay = inj.backoff_slots(work.fault_retries);
                             work.fault_retries += 1;
                             st.arrival.defer_after(work, delay);
                         }

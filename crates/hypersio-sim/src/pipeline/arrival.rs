@@ -6,6 +6,13 @@ use hypersio_obs::{Event, Observer};
 use hypersio_trace::{HyperTrace, TracePacket};
 use hypersio_types::{GIova, SimDuration, SimTime};
 
+use crate::faults::FaultInjector;
+
+/// Latest slot start, in picoseconds, at which a parked retry may come
+/// due: half the picosecond clock's range, so that the service latencies
+/// added after the retry cannot overflow the clock.
+const RETRY_HORIZON_PS: u64 = u64::MAX / 2;
+
 /// Arrival-side span bookkeeping carried through a packet's drop/retry
 /// lifecycle: the accumulated wait-side latency components and the drop
 /// counts that end up in the packet's
@@ -264,10 +271,31 @@ impl ArrivalSource {
         self.arrivals += 1;
     }
 
-    /// Advances past an idle slot (no packet was eligible; time still
-    /// passes on the link).
-    pub(crate) fn skip_slot(&mut self) {
-        self.slot += 1;
+    /// Advances past the idle slots after trace exhaustion, in which
+    /// parked packets remain but none is eligible yet: straight to the
+    /// earliest parked packet's eligible slot, but no further than the
+    /// first slot at or after `faults`' next scheduled event, which must
+    /// still apply at that slot's time. An idle slot changes nothing else,
+    /// so this lands where stepping one idle slot at a time would.
+    pub(crate) fn skip_idle(&mut self, faults: Option<&FaultInjector>) {
+        let eligible = self.parked.iter().map(|p| p.eligible_slot).min();
+        let due = faults
+            .and_then(FaultInjector::next_due_ps)
+            .map(|ps| ps.div_ceil(self.gap.as_ps().max(1)));
+        let target = eligible.into_iter().chain(due).min().unwrap_or(0);
+        self.slot = target.max(self.slot + 1);
+    }
+
+    /// True when a packet dropped in the current slot and parked for
+    /// `delay_slots` would come due by [`RETRY_HORIZON_PS`]. A fault
+    /// plan's backoff may be up to 2^53 slots, longer than the clock can
+    /// represent; the caller drops such a packet terminally instead.
+    pub(crate) fn retry_in_range(&self, delay_slots: u64) -> bool {
+        self.slot
+            .saturating_sub(1)
+            .checked_add(delay_slots)
+            .and_then(|slot| slot.checked_mul(self.gap.as_ps()))
+            .is_some_and(|ps| ps <= RETRY_HORIZON_PS)
     }
 
     /// Parks a dropped packet for retry at the next arrival slot.
@@ -471,19 +499,58 @@ mod tests {
         // Parked before any slot was consumed: the delay anchors at slot 0,
         // so a delay of 3 is eligible at slot 3.
         src.defer_after(deferred(last.expect("trace is non-empty")), 3);
-        for _ in 0..3 {
-            let Fetched::Idle = src.fetch(src.slot_time(), &mut NullObserver) else {
-                panic!("parked packet must not be eligible yet");
-            };
-            src.skip_slot();
-        }
+        let Fetched::Idle = src.fetch(src.slot_time(), &mut NullObserver) else {
+            panic!("parked packet must not be eligible yet");
+        };
+        // One skip covers all three idle slots.
+        src.skip_idle(None);
+        assert_eq!(src.slot_time().as_ns(), 30, "idle slots advance time");
         let Fetched::Retry(_) = src.fetch(src.slot_time(), &mut NullObserver) else {
             panic!("expected the retry after the idle slots");
         };
         let Fetched::Exhausted = src.fetch(src.slot_time(), &mut NullObserver) else {
             panic!("expected exhaustion once the queue drained");
         };
-        assert_eq!(src.slot_time().as_ns(), 30, "idle slots advance time");
+    }
+
+    #[test]
+    fn idle_skip_stops_at_the_earliest_retry_or_the_next_fault_event() {
+        use crate::faults::FaultPlan;
+        // Drain the trace so only parked packets remain.
+        let mut trace = tiny_trace();
+        let packets: Vec<TracePacket> = trace.by_ref().collect();
+        let mut src = ArrivalSource::new(trace, SimDuration::from_ns(10));
+        src.defer_after(deferred(packets[0]), 1_000_000);
+        src.defer_after(deferred(packets[1]), 70);
+        // No injector: straight to the earlier of the two retries.
+        src.skip_idle(None);
+        assert_eq!(src.slot, 70);
+        let Fetched::Retry(_) = src.fetch(src.slot_time(), &mut NullObserver) else {
+            panic!("expected the earlier retry");
+        };
+        // A storm due at 1234 ns must apply at the first slot starting at
+        // or after it (slot 124), before the remaining retry.
+        let plan = FaultPlan::none().with_global_storm(SimTime::ZERO + SimDuration::from_ns(1234));
+        let inventory = tiny_trace().page_inventory();
+        let inj = FaultInjector::new(&plan, &inventory, 2);
+        src.skip_idle(Some(&inj));
+        assert_eq!(src.slot, 124);
+        // An event already behind the clock still advances one slot.
+        src.skip_idle(Some(&inj));
+        assert_eq!(src.slot, 125);
+        src.skip_idle(None);
+        assert_eq!(src.slot, 1_000_000);
+    }
+
+    #[test]
+    fn retries_past_the_clock_horizon_are_out_of_range() {
+        let mut src = ArrivalSource::new(tiny_trace(), SimDuration::from_ns(60));
+        src.consume_slot();
+        assert!(src.retry_in_range(1));
+        assert!(src.retry_in_range(1 << 40));
+        // 2^53 - 1 slots of 60 ns overflow the picosecond clock.
+        assert!(!src.retry_in_range((1 << 53) - 1));
+        assert!(!src.retry_in_range(u64::MAX));
     }
 
     /// Pins the documented `defer_after` semantics: a delay of `n` means

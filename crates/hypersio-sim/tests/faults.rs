@@ -275,3 +275,57 @@ fn randomized_plans_never_panic_or_livelock() {
         assert_conserved(&report, total, &format!("fuzz round {round}"));
     }
 }
+
+/// Runs `plan` on a 16-tenant HyperTRIO trace on a worker thread and
+/// returns the report, failing instead of hanging if the run does not end
+/// within a minute.
+fn run_with_deadline(plan: FaultPlan) -> (SimReport, u64) {
+    let t = trace(16, 400, 0);
+    let total = trace_packets(&t);
+    let (done, report) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(run_with_plan(TranslationConfig::hypertrio(), t, plan));
+    });
+    let report = report
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the run must finish: idle slots are skipped, not stepped");
+    (report, total)
+}
+
+#[test]
+fn backoffs_past_the_clock_horizon_drop_terminally() {
+    // A backoff of 2^53 - 1 slots, which plan validation accepts, is
+    // longer than the picosecond clock can represent: every blocked packet
+    // is a terminal drop instead of a wait the run could never finish.
+    let plan = FaultPlan::from_json(
+        r#"{"schema":"fault_plan/v1","fault_rate":0.5,"backoff":{"base_slots":9007199254740991,"cap_slots":9007199254740991}}"#,
+    )
+    .expect("the plan validates");
+    let (report, total) = run_with_deadline(plan);
+    assert!(report.faulted_drops > 0, "{report}");
+    assert_conserved(&report, total, "horizon run");
+}
+
+#[test]
+fn long_backoffs_after_trace_exhaustion_skip_the_idle_slots() {
+    // 2^40 slots per retry fits the clock; once the trace is exhausted
+    // the run jumps from one retry to the next instead of stepping ~10^13
+    // idle slots.
+    let plan = FaultPlan::none()
+        .with_fault_rate(0.5)
+        .with_backoff(BackoffPolicy {
+            base_slots: 1 << 40,
+            cap_slots: 1 << 40,
+            max_retries: 3,
+        })
+        .with_seed(4);
+    plan.validate().expect("well-formed plan");
+    let (report, total) = run_with_deadline(plan);
+    assert_conserved(&report, total, "long backoff run");
+    assert!(report.packets_processed > 0, "{report}");
+    let slot_ps = SimParams::paper().link.inter_arrival().as_ps();
+    assert!(
+        report.elapsed.as_ps() >= (1u64 << 40) * slot_ps,
+        "the retries waited out their backoff: {report}"
+    );
+}

@@ -235,7 +235,8 @@ impl HyperTraceBuilder {
     /// Panics on the constructor-bound violations [`try_build`]
     /// (the non-panicking variant for user-facing input) reports as
     /// errors: a SID list whose length differs from the tenant count,
-    /// duplicate SIDs, or a shard that owns no tenants.
+    /// duplicate SIDs, a SID not below [`Sid::BOUND`], or a shard that
+    /// owns no tenants.
     ///
     /// [`try_build`]: HyperTraceBuilder::try_build
     pub fn build(self) -> HyperTrace {
@@ -251,7 +252,8 @@ impl HyperTraceBuilder {
     /// # Errors
     ///
     /// Returns a [`TraceBuildError`] when the SID list's length differs
-    /// from the tenant count or contains duplicates, or when sharding
+    /// from the tenant count or contains duplicates, when a SID (a DID,
+    /// for default SIDs) is not below [`Sid::BOUND`], or when sharding
     /// leaves this shard without any tenants.
     pub fn try_build(self) -> Result<HyperTrace, TraceBuildError> {
         let mut params = self.kind.params();
@@ -273,6 +275,16 @@ impl HyperTraceBuilder {
             if sorted.len() != sids.len() {
                 return Err(TraceBuildError("SIDs must be unique".into()));
             }
+        }
+        // Default SIDs equal DIDs, so the largest is `tenants - 1`.
+        let max_sid = self.sids.as_ref().map_or(self.tenants - 1, |sids| {
+            sids.iter().map(|s| s.raw()).max().unwrap_or(0)
+        });
+        if max_sid >= Sid::BOUND {
+            return Err(TraceBuildError(format!(
+                "SID {max_sid:#x} is not below the SID bound {:#x}",
+                Sid::BOUND
+            )));
         }
         if self.shard >= self.tenants {
             return Err(TraceBuildError(format!(
@@ -666,6 +678,25 @@ mod tests {
         assert!(HyperTraceBuilder::new(WorkloadKind::Iperf3, 2)
             .try_build()
             .is_ok());
+    }
+
+    #[test]
+    fn sids_at_the_bound_are_rejected() {
+        let largest = HyperTraceBuilder::new(WorkloadKind::Iperf3, 2)
+            .sids(vec![Sid::new(0), Sid::new(Sid::BOUND - 1)])
+            .try_build();
+        assert!(largest.is_ok());
+        let err = HyperTraceBuilder::new(WorkloadKind::Iperf3, 2)
+            .sids(vec![Sid::new(0), Sid::new(Sid::BOUND)])
+            .try_build()
+            .unwrap_err();
+        assert!(err.to_string().contains("SID bound"), "{err}");
+        // Default SIDs are DIDs: a population past the bound is rejected
+        // before any lane is built.
+        let err = HyperTraceBuilder::new(WorkloadKind::Iperf3, Sid::BOUND + 1)
+            .try_build()
+            .unwrap_err();
+        assert!(err.to_string().contains("0x1000000"), "{err}");
     }
 
     #[test]

@@ -132,6 +132,15 @@ impl From<u16> for Bdf {
 pub struct Sid(u32);
 
 impl Sid {
+    /// Exclusive upper bound on the SIDs a trace may carry (2^24).
+    ///
+    /// The simulator's SID-indexed tables (the SID → DID map and the
+    /// SID-predictor) are flat arrays sized by the largest SID, so the
+    /// bound caps each at 2^24 four-byte entries: 64 MiB of address space,
+    /// of which only the touched pages become resident. Default SIDs equal
+    /// DIDs, and BDF-derived SIDs of segment-0 devices are 16 bits.
+    pub const BOUND: u32 = 1 << 24;
+
     /// Creates a SID from its raw value.
     pub const fn new(raw: u32) -> Self {
         Sid(raw)

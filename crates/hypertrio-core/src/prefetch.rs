@@ -1,11 +1,10 @@
 //! The translation prefetching scheme (§III): Prefetch Buffer,
 //! SID-predictor, and per-DID IOVA history reader.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use hypersio_cache::{CacheStats, FullyAssocCache, PolicyKind, WordReader};
-use hypersio_types::fxhash::FxBuildHasher;
 use hypersio_types::{Did, GIova, Sid};
 
 use crate::devtlb::{DevTlbKey, TlbEntry};
@@ -28,6 +27,10 @@ pub struct PrefetchRequest {
 /// prefetch enough lead time to hide the memory latency of the history
 /// fetch and translation.
 ///
+/// The table is a flat array indexed by raw SID, as in hardware. It grows
+/// to cover a SID on the SID's first use; SIDs must be below
+/// [`Sid::BOUND`].
+///
 /// # Examples
 ///
 /// ```
@@ -46,11 +49,12 @@ pub struct PrefetchRequest {
 pub struct SidPredictor {
     history_len: usize,
     window: VecDeque<Sid>,
-    /// Learned `predecessor -> successor` mappings. Probed and updated once
-    /// per observed request, so it uses the cheap Fx hasher (SIDs are
-    /// attacker-free small integers) and is never iterated — behaviour is
-    /// independent of hash order.
-    table: HashMap<Sid, Sid, FxBuildHasher>,
+    /// Learned `predecessor -> successor` mappings: indexed by the
+    /// predecessor's raw SID, holding the successor's raw SID + 1 (0: no
+    /// mapping learned yet).
+    table: Vec<u32>,
+    /// SIDs a checkpoint may restore, as set by [`SidPredictor::set_bound`].
+    bound: usize,
     predictions: u64,
     hits_possible: u64,
 }
@@ -67,10 +71,26 @@ impl SidPredictor {
         SidPredictor {
             history_len,
             window: VecDeque::with_capacity(history_len + 1),
-            table: HashMap::default(),
+            table: Vec::new(),
+            bound: 0,
             predictions: 0,
             hits_possible: 0,
         }
+    }
+
+    /// Declares the SIDs in use to be `0..sid_bound`: a checkpoint then
+    /// restores SIDs below this bound (or below the size the table has
+    /// grown to, if larger). The table still grows on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sid_bound` exceeds [`Sid::BOUND`].
+    pub(crate) fn set_bound(&mut self, sid_bound: u32) {
+        assert!(
+            sid_bound <= Sid::BOUND,
+            "SID bound {sid_bound:#x} is too large"
+        );
+        self.bound = sid_bound as usize;
     }
 
     /// Returns the configured history length.
@@ -95,12 +115,20 @@ impl SidPredictor {
     }
 
     /// Records an arrival from `sid`, training the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sid` is not below [`Sid::BOUND`].
     pub fn observe(&mut self, sid: Sid) {
+        assert!(sid.raw() < Sid::BOUND, "{sid} is not below the SID bound");
         self.window.push_back(sid);
         if self.window.len() > self.history_len {
             // The SID `history_len` steps back now predicts `sid`.
-            let past = self.window[self.window.len() - 1 - self.history_len];
-            self.table.insert(past, sid);
+            let past = self.window[self.window.len() - 1 - self.history_len].raw() as usize;
+            if past >= self.table.len() {
+                grow_zeroed(&mut self.table, past + 1);
+            }
+            self.table[past] = sid.raw() + 1;
             if self.window.len() > self.history_len + 1 {
                 self.window.pop_front();
             }
@@ -110,7 +138,10 @@ impl SidPredictor {
     /// Predicts the SID expected `history_len` requests after `current`.
     pub fn predict(&mut self, current: Sid) -> Option<Sid> {
         self.predictions += 1;
-        let p = self.table.get(&current).copied();
+        let p = match self.table.get(current.raw() as usize) {
+            Some(&next) if next != 0 => Some(Sid::new(next - 1)),
+            _ => None,
+        };
         if p.is_some() {
             self.hits_possible += 1;
         }
@@ -123,40 +154,61 @@ impl SidPredictor {
     }
 
     /// Appends the predictor's mutable state (observation window, learned
-    /// table in sorted-key order, coverage counters) to a checkpoint word
-    /// stream. Sorting makes the encoding independent of hash order.
+    /// mappings in ascending-SID order, coverage counters) to a checkpoint
+    /// word stream.
     fn snapshot_words(&self, out: &mut Vec<u64>) {
         out.push(self.window.len() as u64);
         out.extend(self.window.iter().map(|s| s.raw() as u64));
-        let mut entries: Vec<(Sid, Sid)> = self.table.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable();
-        out.push(entries.len() as u64);
-        for (k, v) in entries {
-            out.push(k.raw() as u64);
-            out.push(v.raw() as u64);
+        let learned = || {
+            self.table
+                .iter()
+                .enumerate()
+                .filter(|&(_, &next)| next != 0)
+        };
+        out.push(learned().count() as u64);
+        for (sid, &next) in learned() {
+            out.push(sid as u64);
+            out.push(u64::from(next - 1));
         }
         out.push(self.predictions);
         out.push(self.hits_possible);
     }
 
     /// Restores the state written by [`SidPredictor::snapshot_words`].
+    /// Every SID read must lie below the bound or the grown table size;
+    /// no table is sized from the stream.
     fn restore_words(&mut self, r: &mut WordReader<'_>) -> Option<()> {
+        let len = self.bound.max(self.table.len());
+        self.table.clear();
+        self.table.resize(len, 0);
+        let bound = len as u64;
+        let sid = |r: &mut WordReader<'_>| {
+            let raw = r.next()?;
+            (raw < bound).then_some(raw as u32)
+        };
         let n = r.len_capped(self.history_len + 1)?;
         self.window.clear();
         for _ in 0..n {
-            self.window.push_back(r.decode()?);
+            self.window.push_back(Sid::new(sid(r)?));
         }
         let n = r.len_capped(r.remaining() / 2)?;
-        self.table.clear();
         for _ in 0..n {
-            let key: Sid = r.decode()?;
-            let value: Sid = r.decode()?;
-            self.table.insert(key, value);
+            let key = sid(r)?;
+            let value = sid(r)?;
+            self.table[key as usize] = value + 1;
         }
         self.predictions = r.next()?;
         self.hits_possible = r.next()?;
         Some(())
     }
+}
+
+/// Grows `table` with zeroes to `len` entries: the cold path of a first
+/// use past its size.
+#[cold]
+#[inline(never)]
+fn grow_zeroed<T: Copy + Default>(table: &mut Vec<T>, len: usize) {
+    table.resize(len, T::default());
 }
 
 /// The per-DID history of recently used gIOVAs, kept in main memory.
@@ -165,6 +217,10 @@ impl SidPredictor {
 /// a predicted tenant and issues translation requests for them. Keeping the
 /// history in main memory makes the hardware cost independent of tenant
 /// count (§III) — only the small reader state machine lives on the chipset.
+///
+/// The model keeps it the same way: one slab of `depth` page words per DID
+/// plus a one-byte length per DID, indexed directly by DID. The slab grows
+/// to cover a DID on its first record.
 ///
 /// # Examples
 ///
@@ -184,11 +240,14 @@ impl SidPredictor {
 #[derive(Debug, Clone)]
 pub struct IovaHistoryReader {
     depth: usize,
-    /// Most-recent-first page-granule history per DID.
-    /// Per-tenant recent-IOVA rings. Touched on every observed request
-    /// (record) and every prefetch plan (read), so it uses the Fx hasher;
-    /// the map is never iterated, keeping behaviour hash-order independent.
-    histories: HashMap<Did, VecDeque<GIova>, FxBuildHasher>,
+    /// Most-recent-first page-granule history: DID `d`'s ring is
+    /// `pages[d * depth..][..lens[d]]`.
+    pages: Vec<u64>,
+    /// Remembered pages per DID (at most `depth`).
+    lens: Vec<u8>,
+    /// DIDs a checkpoint may restore, as set by
+    /// [`IovaHistoryReader::set_bound`].
+    bound: usize,
     fetches: u64,
 }
 
@@ -201,26 +260,58 @@ impl IovaHistoryReader {
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero.
+    /// Panics if `depth` is zero or above 255.
     pub fn new(depth: usize) -> Self {
         assert!(depth > 0, "history depth must be at least 1");
+        assert!(
+            depth <= u8::MAX as usize,
+            "history depth must be at most 255"
+        );
         IovaHistoryReader {
             depth,
-            histories: HashMap::default(),
+            pages: Vec::new(),
+            lens: Vec::new(),
+            bound: 0,
             fetches: 0,
         }
+    }
+
+    /// Declares the DIDs in use to be `0..did_bound`: a checkpoint then
+    /// restores DIDs below this bound (or below the size the slab has
+    /// grown to, if larger). The slab still grows on first use.
+    pub(crate) fn set_bound(&mut self, did_bound: u32) {
+        self.bound = did_bound as usize;
+    }
+
+    /// Grows the slab to cover DIDs `0..dids`: the cold path of a first
+    /// record past its size.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, dids: usize) {
+        grow_zeroed(&mut self.lens, dids);
+        grow_zeroed(&mut self.pages, dids * self.depth);
     }
 
     /// Records a translated gIOVA for `did` (called on every completed
     /// translation, as the IOMMU writes the running history to memory).
     pub fn record(&mut self, did: Did, iova: GIova) {
-        let page = GIova::new(iova.raw() >> HISTORY_PAGE_SHIFT << HISTORY_PAGE_SHIFT);
-        let h = self.histories.entry(did).or_default();
-        if let Some(pos) = h.iter().position(|&p| p == page) {
-            h.remove(pos);
+        let page = iova.raw() >> HISTORY_PAGE_SHIFT << HISTORY_PAGE_SHIFT;
+        let d = did.index();
+        if d >= self.lens.len() {
+            self.grow(d + 1);
         }
-        h.push_front(page);
-        h.truncate(self.depth);
+        let ring = &mut self.pages[d * self.depth..(d + 1) * self.depth];
+        let len = self.lens[d] as usize;
+        // A re-recorded page moves to the front; otherwise every entry
+        // shifts back one and the oldest falls off a full ring.
+        let (shifted, len) = match ring[..len].iter().position(|&p| p == page) {
+            Some(pos) => (pos, len),
+            None if len == self.depth => (len - 1, len),
+            None => (len, len + 1),
+        };
+        ring.copy_within(..shifted, 1);
+        ring[0] = page;
+        self.lens[d] = len as u8;
     }
 
     /// Returns the `n` most recently used pages of `did`, most recent first.
@@ -238,8 +329,16 @@ impl IovaHistoryReader {
     pub fn recent_into(&mut self, did: Did, n: usize, out: &mut Vec<GIova>) {
         self.fetches += 1;
         out.clear();
-        if let Some(h) = self.histories.get(&did) {
-            out.extend(h.iter().take(n).copied());
+        out.extend(self.ring(did).iter().take(n).map(|&p| GIova::new(p)));
+    }
+
+    /// `did`'s remembered pages, most recent first (empty for a DID
+    /// never recorded).
+    fn ring(&self, did: Did) -> &[u64] {
+        let d = did.index();
+        match self.lens.get(d) {
+            Some(&len) => &self.pages[d * self.depth..][..len as usize],
+            None => &[],
         }
     }
 
@@ -253,41 +352,49 @@ impl IovaHistoryReader {
     /// the recorded gIOVAs would otherwise drive prefetches of mappings
     /// that no longer exist).
     pub fn forget(&mut self, did: Did) {
-        self.histories.remove(&did);
+        if let Some(len) = self.lens.get_mut(did.index()) {
+            *len = 0;
+        }
     }
 
     /// Discards every tenant's remembered pages (global shootdown).
     pub fn forget_all(&mut self) {
-        self.histories.clear();
+        self.lens.fill(0);
     }
 
-    /// Appends the reader's mutable state (per-DID rings in sorted-DID
-    /// order, fetch counter) to a checkpoint word stream.
+    /// Appends the reader's mutable state (the non-empty rings in
+    /// ascending-DID order, fetch counter) to a checkpoint word stream.
     fn snapshot_words(&self, out: &mut Vec<u64>) {
-        let mut dids: Vec<Did> = self.histories.keys().copied().collect();
-        dids.sort_unstable();
-        out.push(dids.len() as u64);
-        for did in dids {
-            let ring = &self.histories[&did];
-            out.push(did.raw() as u64);
+        out.push(self.lens.iter().filter(|&&len| len != 0).count() as u64);
+        for (d, _) in self.lens.iter().enumerate().filter(|&(_, &len)| len != 0) {
+            let ring = self.ring(Did::new(d as u32));
+            out.push(d as u64);
             out.push(ring.len() as u64);
-            out.extend(ring.iter().map(|p| p.raw()));
+            out.extend_from_slice(ring);
         }
         out.push(self.fetches);
     }
 
     /// Restores the state written by [`IovaHistoryReader::snapshot_words`].
+    /// Every DID read must lie below the bound or the grown slab size; no
+    /// slab is sized from the stream.
     fn restore_words(&mut self, r: &mut WordReader<'_>) -> Option<()> {
+        let dids = self.bound.max(self.lens.len());
+        self.lens.clear();
+        self.lens.resize(dids, 0);
+        self.pages.resize(dids * self.depth, 0);
         let tenants = r.len_capped(r.remaining())?;
-        self.histories.clear();
         for _ in 0..tenants {
-            let did: Did = r.decode()?;
-            let len = r.len_capped(self.depth)?;
-            let mut ring = VecDeque::with_capacity(len);
-            for _ in 0..len {
-                ring.push_back(r.decode()?);
+            let d = usize::try_from(r.next()?).ok()?;
+            if d >= self.lens.len() {
+                return None;
             }
-            self.histories.insert(did, ring);
+            let len = r.len_capped(self.depth)?;
+            let ring = &mut self.pages[d * self.depth..][..len];
+            for page in ring.iter_mut() {
+                *page = r.next()?;
+            }
+            self.lens[d] = len as u8;
         }
         self.fetches = r.next()?;
         Some(())
@@ -327,6 +434,21 @@ impl PrefetchUnit {
             history: IovaHistoryReader::new(pages_per_prefetch.max(4)),
             pages_per_prefetch,
         }
+    }
+
+    /// Declares the tenant population: SIDs `0..sid_bound` and DIDs
+    /// `0..did_bound`. Both tables still grow on first use; the bounds
+    /// are what a checkpoint restore accepts. A unit built by
+    /// [`PrefetchUnit::new`] alone restores only SIDs and DIDs below the
+    /// sizes its tables have grown to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sid_bound` exceeds [`Sid::BOUND`].
+    pub fn with_bounds(mut self, sid_bound: u32, did_bound: u32) -> Self {
+        self.predictor.set_bound(sid_bound);
+        self.history.set_bound(did_bound);
+        self
     }
 
     /// Returns the number of pages fetched per prefetch (paper: 2).
@@ -675,6 +797,264 @@ mod tests {
         let mut pu = PrefetchUnit::new(8, 48, 2);
         assert!(pu.lookup(Did::new(0), GIova::new(0x1000), 0).is_none());
         assert_eq!(pu.buffer_stats().accesses(), 1);
+    }
+
+    /// The predictor the flat table replaced: the same window, learning
+    /// into a hash map. The reference the table must agree with.
+    struct MapPredictor {
+        history_len: usize,
+        window: VecDeque<Sid>,
+        table: std::collections::HashMap<Sid, Sid>,
+        predictions: u64,
+        hits_possible: u64,
+    }
+
+    impl MapPredictor {
+        fn new(history_len: usize) -> Self {
+            MapPredictor {
+                history_len,
+                window: VecDeque::new(),
+                table: Default::default(),
+                predictions: 0,
+                hits_possible: 0,
+            }
+        }
+
+        fn set_history_len(&mut self, history_len: usize) {
+            self.history_len = history_len;
+            while self.window.len() > self.history_len + 1 {
+                self.window.pop_front();
+            }
+        }
+
+        fn observe(&mut self, sid: Sid) {
+            self.window.push_back(sid);
+            if self.window.len() > self.history_len {
+                let past = self.window[self.window.len() - 1 - self.history_len];
+                self.table.insert(past, sid);
+                if self.window.len() > self.history_len + 1 {
+                    self.window.pop_front();
+                }
+            }
+        }
+
+        fn predict(&mut self, current: Sid) -> Option<Sid> {
+            self.predictions += 1;
+            let p = self.table.get(&current).copied();
+            self.hits_possible += u64::from(p.is_some());
+            p
+        }
+
+        fn snapshot_words(&self, out: &mut Vec<u64>) {
+            out.push(self.window.len() as u64);
+            out.extend(self.window.iter().map(|s| s.raw() as u64));
+            let mut entries: Vec<(Sid, Sid)> = self.table.iter().map(|(&k, &v)| (k, v)).collect();
+            entries.sort_unstable();
+            out.push(entries.len() as u64);
+            for (k, v) in entries {
+                out.push(k.raw() as u64);
+                out.push(v.raw() as u64);
+            }
+            out.push(self.predictions);
+            out.push(self.hits_possible);
+        }
+    }
+
+    /// The history the slab replaced: one ring per DID in a hash map.
+    struct MapHistory {
+        depth: usize,
+        histories: std::collections::HashMap<Did, VecDeque<GIova>>,
+        fetches: u64,
+    }
+
+    impl MapHistory {
+        fn record(&mut self, did: Did, iova: GIova) {
+            let page = GIova::new(iova.raw() >> HISTORY_PAGE_SHIFT << HISTORY_PAGE_SHIFT);
+            let h = self.histories.entry(did).or_default();
+            if let Some(pos) = h.iter().position(|&p| p == page) {
+                h.remove(pos);
+            }
+            h.push_front(page);
+            h.truncate(self.depth);
+        }
+
+        fn recent(&mut self, did: Did, n: usize) -> Vec<GIova> {
+            self.fetches += 1;
+            self.histories
+                .get(&did)
+                .map(|h| h.iter().take(n).copied().collect())
+                .unwrap_or_default()
+        }
+
+        fn snapshot_words(&self, out: &mut Vec<u64>) {
+            let mut dids: Vec<Did> = self.histories.keys().copied().collect();
+            dids.sort_unstable();
+            out.push(dids.len() as u64);
+            for did in dids {
+                let ring = &self.histories[&did];
+                out.push(did.raw() as u64);
+                out.push(ring.len() as u64);
+                out.extend(ring.iter().map(|p| p.raw()));
+            }
+            out.push(self.fetches);
+        }
+    }
+
+    #[test]
+    fn flat_predictor_matches_the_map_predictor_under_random_operations() {
+        for (seed, sids, sized) in [(1u64, 3u32, false), (2, 40, true), (3, 1000, false)] {
+            let mut rng = hypersio_types::SplitMix64::new(seed);
+            let history_len = 1 + rng.index(8);
+            let mut flat = SidPredictor::new(history_len);
+            if sized {
+                flat.set_bound(sids);
+            }
+            let mut map = MapPredictor::new(history_len);
+            for step in 0..20_000u32 {
+                match rng.below(100) {
+                    // Mostly round-robin arrivals, with random interlopers.
+                    0..=59 => {
+                        let sid = Sid::new(step % sids);
+                        flat.observe(sid);
+                        map.observe(sid);
+                    }
+                    60..=79 => {
+                        let sid = Sid::new(rng.below(sids as u64) as u32);
+                        flat.observe(sid);
+                        map.observe(sid);
+                    }
+                    80..=98 => {
+                        // Probe past the largest SID too.
+                        let sid = Sid::new(rng.below(sids as u64 + 2) as u32);
+                        assert_eq!(flat.predict(sid), map.predict(sid), "step {step}");
+                    }
+                    _ => {
+                        let len = 1 + rng.index(8);
+                        flat.set_history_len(len);
+                        map.set_history_len(len);
+                    }
+                }
+            }
+            assert_eq!(flat.coverage(), (map.predictions, map.hits_possible));
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            flat.snapshot_words(&mut a);
+            map.snapshot_words(&mut b);
+            assert_eq!(a, b, "checkpoint words, seed {seed}");
+        }
+    }
+
+    #[test]
+    fn history_slab_matches_the_map_history_under_random_operations() {
+        for dids in [1u32, 2, 7, 64] {
+            for depth in [1usize, 4] {
+                let mut rng = hypersio_types::SplitMix64::new(u64::from(dids) * 10 + depth as u64);
+                let mut slab = IovaHistoryReader::new(depth);
+                if dids == 7 {
+                    slab.set_bound(dids);
+                }
+                let mut map = MapHistory {
+                    depth,
+                    histories: Default::default(),
+                    fetches: 0,
+                };
+                for step in 0..20_000 {
+                    let did = Did::new(rng.below(u64::from(dids)) as u32);
+                    match rng.below(100) {
+                        0..=69 => {
+                            // Few distinct pages, so re-records are common.
+                            let page = rng.below(2 * depth as u64 + 2) << HISTORY_PAGE_SHIFT;
+                            let iova = GIova::new(0x3480_0000 + page + rng.below(4096));
+                            slab.record(did, iova);
+                            map.record(did, iova);
+                        }
+                        70..=94 => {
+                            let n = rng.index(depth + 2);
+                            assert_eq!(slab.recent(did, n), map.recent(did, n), "step {step}");
+                        }
+                        95..=98 => {
+                            slab.forget(did);
+                            map.histories.remove(&did);
+                        }
+                        _ => {
+                            slab.forget_all();
+                            map.histories.clear();
+                        }
+                    }
+                }
+                assert_eq!(slab.fetches(), map.fetches);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                slab.snapshot_words(&mut a);
+                map.snapshot_words(&mut b);
+                assert_eq!(a, b, "checkpoint words, {dids} DIDs, depth {depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_sids_and_dids_at_the_bound() {
+        let unit = || PrefetchUnit::new(8, 4, 2).with_bounds(16, 16);
+        // Predictor stream: window, learned pairs, coverage counters.
+        let predictor = |window: &[u64], pairs: &[u64]| {
+            let mut words = vec![window.len() as u64];
+            words.extend_from_slice(window);
+            words.push(pairs.len() as u64 / 2);
+            words.extend_from_slice(pairs);
+            words.extend([0, 0]);
+            words
+        };
+        for (words, ok) in [
+            (predictor(&[15], &[15, 15]), true),
+            (predictor(&[16], &[]), false),
+            (predictor(&[], &[16, 0]), false),
+            (predictor(&[], &[0, 16]), false),
+            (predictor(&[], &[u64::MAX, 0]), false),
+        ] {
+            let mut pu = unit();
+            let restored = pu.predictor.restore_words(&mut WordReader::new(&words));
+            assert_eq!(restored.is_some(), ok, "{words:?}");
+            assert_eq!(pu.predictor.table.len(), 16, "{words:?}");
+        }
+        // History stream: rings of (did, len, pages), fetch counter.
+        for (did, ok) in [(15u64, true), (16, false), (u64::MAX, false)] {
+            let words = [1, did, 1, 0x1000, 0];
+            let mut pu = unit();
+            let restored = pu.history.restore_words(&mut WordReader::new(&words));
+            assert_eq!(restored.is_some(), ok, "DID {did:#x}");
+            assert_eq!(
+                (pu.history.lens.len(), pu.history.pages.len()),
+                (16, 16 * 4),
+                "DID {did:#x}"
+            );
+        }
+        // A unit that was never sized restores nothing but empty state.
+        let mut pu = PrefetchUnit::new(8, 4, 2);
+        assert!(pu
+            .history
+            .restore_words(&mut WordReader::new(&[1, 0, 1, 0x1000, 0]))
+            .is_none());
+        assert!(pu.history.lens.is_empty());
+    }
+
+    #[test]
+    fn unsized_unit_grows_on_first_use_and_matches_a_sized_one() {
+        let mut grown = PrefetchUnit::new(8, 2, 2);
+        let mut sized = PrefetchUnit::new(8, 2, 2).with_bounds(64, 64);
+        for i in 0..200u32 {
+            let sid = Sid::new((i * 7) % 64);
+            assert_eq!(grown.observe(sid), sized.observe(sid));
+            grown.record_history(Did::new(sid.raw()), GIova::new(u64::from(i) << 12));
+            sized.record_history(Did::new(sid.raw()), GIova::new(u64::from(i) << 12));
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        grown.snapshot_words(&mut a);
+        sized.snapshot_words(&mut b);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "SID bound")]
+    fn predictor_rejects_sids_past_the_bound() {
+        SidPredictor::new(1).observe(Sid::new(Sid::BOUND));
     }
 
     #[test]

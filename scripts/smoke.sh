@@ -79,16 +79,17 @@ grep -q '"stages"' "$d/bench_smoke.json" || {
 }
 cargo run --release -q -p bench --bin bench_hotpath -- --validate BENCH_hotpath.json
 
-# Bounded memory: a truncated 10k-tenant streaming curve under a hard RSS
+# Bounded memory: a truncated 100k-tenant streaming curve under a hard RSS
 # ceiling, both curves against bench_scale/v1, then a sharded lazy-table
 # CLI run whose report and event trace must validate. The curve peaks near
-# 6 MiB with tenant spaces as views of one table pair and near 40 MiB when
-# each resident tenant holds a private host table, so the 32 MiB ceiling
-# fails a return to per-tenant tables.
+# 16 MiB with flat DID- and SID-indexed tenant state and near 27 MiB with a
+# hash map per tenant-indexed table (SID-predictor, IOVA history, context
+# table, pool residency), so the 24 MiB ceiling fails a return to
+# per-tenant maps, let alone to per-tenant page tables. It runs in ~0.3 s.
 section scale
-MAX_TENANTS=10000 REQS=12 WARMUP=100 BUDGET_MB=64 \
+MAX_TENANTS=100000 REQS=12 WARMUP=100 BUDGET_MB=64 \
   cargo run --release -q -p bench --bin bench_scale -- \
-  --out "$d/scale_smoke.json" --rss-limit-mb 32
+  --out "$d/scale_smoke.json" --rss-limit-mb 24
 cargo run --release -q -p bench --bin bench_scale -- --validate "$d/scale_smoke.json"
 cargo run --release -q -p bench --bin bench_scale -- --validate BENCH_scale.json
 cli "$d/sharded" sim \
@@ -188,9 +189,10 @@ cli "$d/shard_retry" sim \
 cmp "$d/shard_clean.json" "$d/shard_retry.json"
 
 # Fault injection: a fault_plan/v1 file plus CLI overrides drive storms,
-# churn and IO page faults; the outputs validate, and each bad plan (a
-# bogus schema, an unknown key, an out-of-range PRI latency) must be
-# rejected with a nonzero exit.
+# churn and IO page faults; the outputs validate; a plan whose backoff
+# (2^53 - 1 slots) outlasts the simulated clock ends within 10 s; and each
+# bad plan (a bogus schema, an unknown key, an out-of-range PRI latency)
+# must be rejected with a nonzero exit.
 section fault
 cat > "$d/plan.json" <<'EOF'
 {"schema": "fault_plan/v1", "seed": 7, "fault_rate": 0.02,
@@ -208,9 +210,14 @@ cli "$d/sim" sim \
 cli "$d/sim_flags" sim \
   --tenants 8 --scale 200 --inv-storm 20 --fault-rate 0.05 \
   --report-json "$d/report_flags.json"
+echo '{"schema":"fault_plan/v1","fault_rate":0.5,"backoff":{"base_slots":9007199254740991,"cap_slots":9007199254740991}}' \
+  > "$d/huge_backoff.json"
+timeout 10 cargo run --release -q --bin hypertrio -- sim \
+  --tenants 16 --scale 400 --fault-plan "$d/huge_backoff.json" \
+  --report-json "$d/report_huge_backoff.json" | tee "$d/huge_backoff.stdout"
 obs_validate \
   "$d/events.jsonl" "$d/timeseries.csv" \
-  "$d/report.json" "$d/report_flags.json"
+  "$d/report.json" "$d/report_flags.json" "$d/report_huge_backoff.json"
 echo '{"schema": "bogus"}' > "$d/bad.json"
 echo '{"schema": "fault_plan/v1", "fault_rat": 0.5}' > "$d/bad_key.json"
 echo '{"schema": "fault_plan/v1", "fault_rate": 0.5, "pri_latency_us": 1e300}' \
