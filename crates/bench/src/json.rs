@@ -402,9 +402,8 @@ pub fn validate_timeseries_schema(doc: &Json) -> Result<(), String> {
 /// Checks an `hypersio-events/v1` JSON Lines trace (the `--trace-out` CLI
 /// output): the meta line's schema tag and bookkeeping fields, that every
 /// following line is a JSON object with a timestamp and a kind, that the
-/// resilience kinds (`memory_pressure`, `shard_retry`) carry their full
-/// payload, and that the meta line's `recorded` count matches the number
-/// of event lines.
+/// resilience kind (`memory_pressure`) carries its full payload, and that
+/// the meta line's `recorded` count matches the number of event lines.
 pub fn validate_events_jsonl(text: &str) -> Result<(), String> {
     let mut lines = text.lines();
     let meta_line = lines.next().ok_or("empty trace")?;
@@ -429,11 +428,10 @@ pub fn validate_events_jsonl(text: &str) -> Result<(), String> {
             .get("kind")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("event line {}: missing string field 'kind'", i + 1))?;
-        // The run-resilience kinds carry payloads an operator acts on
-        // (how much memory was shed, which shard restarted); pin them.
+        // The run-resilience kind carries a payload an operator acts on
+        // (how much memory was shed); pin it.
         let required: &[&str] = match kind {
             "memory_pressure" => &["rss_bytes", "shed_entries"],
-            "shard_retry" => &["shard", "attempt"],
             _ => &[],
         };
         for field in required {
@@ -964,7 +962,7 @@ mod tests {
         let good = concat!(
             r#"{"schema":"hypersio-events/v1","recorded":2,"overwritten":0,"record_bytes":32}"#,
             "\n",
-            r#"{"t_ps":0,"kind":"shard_retry","shard":3,"attempt":2}"#,
+            r#"{"t_ps":0,"kind":"packet_drop","did":3}"#,
             "\n",
             r#"{"t_ps":50,"kind":"memory_pressure","rss_bytes":1048576,"shed_entries":42}"#,
             "\n"
@@ -974,8 +972,9 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("shed_entries"), "{err}");
         let err =
-            validate_events_jsonl(&good.replace(r#""attempt":2"#, r#""attempt":"2""#)).unwrap_err();
-        assert!(err.contains("attempt"), "{err}");
+            validate_events_jsonl(&good.replace(r#""rss_bytes":1048576"#, r#""rss_bytes":"1""#))
+                .unwrap_err();
+        assert!(err.contains("rss_bytes"), "{err}");
     }
 
     /// A structurally valid checkpoint file, built by hand the way the

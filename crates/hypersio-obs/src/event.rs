@@ -2,7 +2,7 @@
 //!
 //! # Emission ownership
 //!
-//! Each of the 27 kinds is emitted by exactly one stage of the simulator's
+//! Each of the 26 kinds is emitted by exactly one stage of the simulator's
 //! pipeline (`hypersio-sim`'s `pipeline` module; stage graph in
 //! `DESIGN.md` §10) — ownership is part of the stream's contract, since
 //! emission *order* within an arrival slot follows stage order:
@@ -22,11 +22,10 @@
 //! * **Fault injector** (`hypersio-sim`'s `faults` module, DESIGN.md §11)
 //!   — [`Event::InvStart`], [`Event::InvDone`], [`Event::TenantRemap`],
 //!   [`Event::PageFault`], [`Event::PageResponse`].
-//! * **Run supervision** (`hypersio-sim`'s controlled-run loop and shard
-//!   supervisor, DESIGN.md §16) — [`Event::MemoryPressure`],
-//!   [`Event::ShardRetry`]. These are operational telemetry, not packet
-//!   lifecycle: they appear only when the RSS watchdog or shard retry is
-//!   engaged and are absent from undisturbed runs.
+//! * **Run supervision** (`hypersio-sim`'s controlled-run loop,
+//!   DESIGN.md §16) — [`Event::MemoryPressure`]. This is operational
+//!   telemetry, not packet lifecycle: it appears only when the RSS
+//!   watchdog is engaged and is absent from undisturbed runs.
 
 use hypersio_types::{Did, GIova, Sid};
 
@@ -210,14 +209,6 @@ pub enum Event {
         /// entries).
         shed_entries: u64,
     },
-    /// A sharded run's worker panicked and the supervisor is retrying the
-    /// shard (recorded at the start of the retry attempt).
-    ShardRetry {
-        /// Index of the shard being retried.
-        shard: u32,
-        /// 1-based retry attempt number.
-        attempt: u64,
-    },
 }
 
 /// Discriminant of an [`Event`], used as the binary record tag and for
@@ -277,12 +268,10 @@ pub enum EventKind {
     FaultedDrop = 24,
     /// [`Event::MemoryPressure`].
     MemoryPressure = 25,
-    /// [`Event::ShardRetry`].
-    ShardRetry = 26,
 }
 
 /// Number of distinct [`EventKind`]s (array-size for per-kind counters).
-pub const EVENT_KINDS: usize = 27;
+pub const EVENT_KINDS: usize = 26;
 
 /// All kinds, in tag order (`ALL[k as usize] == k`).
 pub const ALL_EVENT_KINDS: [EventKind; EVENT_KINDS] = [
@@ -312,7 +301,6 @@ pub const ALL_EVENT_KINDS: [EventKind; EVENT_KINDS] = [
     EventKind::PageResponse,
     EventKind::FaultedDrop,
     EventKind::MemoryPressure,
-    EventKind::ShardRetry,
 ];
 
 impl EventKind {
@@ -350,7 +338,6 @@ impl EventKind {
             EventKind::PageResponse => "page_response",
             EventKind::FaultedDrop => "faulted_drop",
             EventKind::MemoryPressure => "memory_pressure",
-            EventKind::ShardRetry => "shard_retry",
         }
     }
 
@@ -424,10 +411,6 @@ impl EventKind {
                 rss_bytes: a,
                 shed_entries: b,
             },
-            EventKind::ShardRetry => Event::ShardRetry {
-                shard: did.raw(),
-                attempt: a,
-            },
         }
     }
 }
@@ -462,7 +445,6 @@ impl Event {
             Event::PageResponse { .. } => EventKind::PageResponse,
             Event::FaultedDrop { .. } => EventKind::FaultedDrop,
             Event::MemoryPressure { .. } => EventKind::MemoryPressure,
-            Event::ShardRetry { .. } => EventKind::ShardRetry,
         }
     }
 
@@ -516,7 +498,6 @@ impl Event {
                 rss_bytes,
                 shed_entries,
             } => (EventKind::MemoryPressure, 0, rss_bytes, shed_entries),
-            Event::ShardRetry { shard, attempt } => (EventKind::ShardRetry, shard, attempt, 0),
         }
     }
 }
@@ -595,10 +576,6 @@ mod tests {
             Event::MemoryPressure {
                 rss_bytes: 6_442_450_944,
                 shed_entries: 12_345,
-            },
-            Event::ShardRetry {
-                shard: 3,
-                attempt: 1,
             },
         ]
     }

@@ -38,7 +38,7 @@ mod timeseries;
 
 pub use event::{Event, EventKind, ALL_EVENT_KINDS, EVENT_KINDS};
 pub use observer::{CountingObserver, NullObserver, Observer};
-pub use ring::{write_jsonl_many, EventRecord, RingRecorder, RECORD_BYTES};
+pub use ring::{EventRecord, RingRecorder, RECORD_BYTES};
 pub use span::{
     reconstruct_spans, write_chrome_trace, ComponentSums, LatencyAttribution, PacketSpan,
     Reconstruction, SpanCollector, SpanComponents,

@@ -145,9 +145,6 @@ impl EventRecord {
                     r#","rss_bytes":{rss_bytes},"shed_entries":{shed_entries}"#
                 );
             }
-            Event::ShardRetry { shard, attempt } => {
-                let _ = write!(out, r#","shard":{shard},"attempt":{attempt}"#);
-            }
         }
         out.push('}');
     }
@@ -260,40 +257,6 @@ impl RingRecorder {
     }
 }
 
-/// Writes several recorders as one JSON Lines stream: a single meta line
-/// whose `recorded`/`overwritten` counts are summed across the rings, then
-/// every ring's records in order (each ring oldest-first, rings in slice
-/// order).
-///
-/// A DID-sharded run records one ring per shard; concatenating them in
-/// shard order is the deterministic merged event stream (shard order is
-/// fixed, so the output is independent of how the shards were scheduled).
-/// For a single ring the output is byte-identical to
-/// [`RingRecorder::write_jsonl`].
-///
-/// # Errors
-///
-/// Propagates I/O errors from `w`.
-pub fn write_jsonl_many<W: Write>(rings: &[RingRecorder], w: &mut W) -> io::Result<()> {
-    let recorded: usize = rings.iter().map(|r| r.len()).sum();
-    let overwritten: u64 = rings.iter().map(|r| r.overwritten()).sum();
-    let truncated = overwritten > 0;
-    writeln!(
-        w,
-        r#"{{"schema":"hypersio-events/v1","recorded":{recorded},"overwritten":{overwritten},"truncated":{truncated},"record_bytes":{RECORD_BYTES}}}"#
-    )?;
-    let mut line = String::with_capacity(96);
-    for ring in rings {
-        for record in ring.iter() {
-            line.clear();
-            record.write_json(&mut line);
-            line.push('\n');
-            w.write_all(line.as_bytes())?;
-        }
-    }
-    Ok(())
-}
-
 impl Observer for RingRecorder {
     #[inline]
     fn record(&mut self, at_ps: u64, event: Event) {
@@ -393,36 +356,5 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn zero_capacity_rejected() {
         let _ = RingRecorder::new(0);
-    }
-
-    #[test]
-    fn jsonl_many_of_one_ring_matches_single_writer() {
-        let mut ring = RingRecorder::new(4);
-        ring.record(5, Event::PacketDrop { did: Did::new(3) });
-        ring.record(9, Event::PtbRelease);
-        let mut single = Vec::new();
-        ring.write_jsonl(&mut single).unwrap();
-        let mut many = Vec::new();
-        write_jsonl_many(std::slice::from_ref(&ring), &mut many).unwrap();
-        assert_eq!(single, many);
-    }
-
-    #[test]
-    fn jsonl_many_concatenates_in_slice_order_with_summed_meta() {
-        let mut a = RingRecorder::new(1);
-        a.record(1, Event::PacketDrop { did: Did::new(0) });
-        a.record(2, Event::PacketDrop { did: Did::new(0) }); // overwrites
-        let mut b = RingRecorder::new(4);
-        b.record(3, Event::PtbRelease);
-        let mut out = Vec::new();
-        write_jsonl_many(&[a, b], &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains(r#""recorded":2"#));
-        assert!(lines[0].contains(r#""overwritten":1"#));
-        assert!(lines[0].contains(r#""truncated":true"#));
-        assert!(lines[1].contains(r#""t_ps":2"#));
-        assert!(lines[2].contains(r#""t_ps":3"#));
     }
 }

@@ -129,14 +129,15 @@ impl Simulation {
     /// makes a checkpoint portable between them.
     fn fingerprint(&self) -> u64 {
         let trace = self.trace();
+        // The trailing `(0, 1)` is the v1 DID layout `(first, stride)` the
+        // trace cursor still writes; it keeps v1 fingerprints unchanged.
         let identity = format!(
-            "{:?}\n{:?}\n{}\n{}\n{:?}\n{:?}",
+            "{:?}\n{:?}\n{}\n{}\n{:?}\n(0, 1)",
             self.config(),
             self.params(),
             trace.tenants(),
             trace.seed(),
             trace.interleaving(),
-            trace.did_layout(),
         );
         fnv1a64(identity.as_bytes())
     }

@@ -53,10 +53,6 @@ pub struct RunControl<'a> {
     /// but the watchdog reads wall-clock process state, so the *event
     /// stream* gains pressure events that depend on the host.
     pub rss_limit_bytes: Option<u64>,
-    /// Test knob: panic after this many frames (first attempt only in the
-    /// shard supervisor). Exists so panic containment and retry can be
-    /// exercised deterministically; never set it in production runs.
-    pub panic_after_frames: Option<u64>,
 }
 
 /// Outcome of [`Simulation::run_controlled`].
@@ -105,6 +101,5 @@ mod tests {
         assert!(ctl.stop.is_none());
         assert!(ctl.stop_after.is_none());
         assert!(ctl.rss_limit_bytes.is_none());
-        assert!(ctl.panic_after_frames.is_none());
     }
 }

@@ -169,9 +169,9 @@ pub fn sweep_specs_parallel(
 /// in input order. Work is handed out through a shared atomic cursor, so
 /// threads that draw short tasks immediately pull the next one.
 ///
-/// This is the engine underneath [`sweep_specs_parallel`] and the sharded
-/// runner, exposed for figure drivers whose rows are not plain tenant
-/// sweeps (oracle-policy rows, per-cell configurations).
+/// This is the engine underneath [`sweep_specs_parallel`], exposed for
+/// figure drivers whose rows are not plain tenant sweeps (oracle-policy
+/// rows, per-cell configurations).
 /// `f` must be a pure function of its item for the output to be
 /// reproducible; every simulation entry point in this crate is. `jobs` is
 /// clamped to `1..=items.len()`; `jobs <= 1` runs inline on the caller's

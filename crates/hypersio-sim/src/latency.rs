@@ -157,16 +157,6 @@ impl LatencyStats {
         self.max_ps = r.next()?;
         Some(())
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ps += other.sum_ps;
-        self.max_ps = self.max_ps.max(other.max_ps);
-    }
 }
 
 impl Default for LatencyStats {
@@ -281,17 +271,6 @@ mod tests {
         assert_eq!(stats.p95(), stats.percentile(0.95));
         assert_eq!(stats.p99(), stats.percentile(0.99));
         assert!(stats.p50() <= stats.p95() && stats.p95() <= stats.p99());
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = LatencyStats::new();
-        a.record(SimDuration::from_ns(1));
-        let mut b = LatencyStats::new();
-        b.record(SimDuration::from_us(1));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max().as_ns(), 1000);
     }
 
     #[test]

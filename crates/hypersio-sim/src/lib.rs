@@ -34,7 +34,6 @@
 
 mod ckpt;
 mod control;
-mod error;
 mod experiment;
 mod faults;
 mod latency;
@@ -44,13 +43,11 @@ mod params;
 mod per_tenant;
 mod pipeline;
 mod report;
-mod shard;
 mod sid_map;
 mod slot_pool;
 
 pub use ckpt::{CheckpointError, CHECKPOINT_SCHEMA};
 pub use control::{current_rss_bytes, RunControl, RunOutcome};
-pub use error::SimError;
 pub use experiment::{
     parallel_map, sweep_specs_parallel, ExperimentPoint, SweepSpec, PAPER_TENANT_COUNTS,
 };
@@ -62,14 +59,13 @@ pub use oracle::devtlb_oracle_for;
 pub use params::SimParams;
 pub use per_tenant::{FairnessSummary, PerTenantReport, TenantStat};
 pub use report::SimReport;
-pub use shard::{run_sharded, ShardSupervision};
 pub use sid_map::SidMap;
 pub use slot_pool::SlotPool;
 
 // Re-export the observability vocabulary so downstream users can drive
 // `Simulation::run_with` without naming the obs crate separately.
 pub use hypersio_obs::{
-    reconstruct_spans, write_chrome_trace, write_jsonl_many, ComponentSums, CountingObserver,
-    Event, EventKind, LatencyAttribution, NullObserver, Observer, PacketSpan, Reconstruction,
-    RingRecorder, SpanCollector, SpanComponents, TimeSeriesSampler,
+    reconstruct_spans, write_chrome_trace, ComponentSums, CountingObserver, Event, EventKind,
+    LatencyAttribution, NullObserver, Observer, PacketSpan, Reconstruction, RingRecorder,
+    SpanCollector, SpanComponents, TimeSeriesSampler,
 };

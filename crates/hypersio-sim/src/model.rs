@@ -100,26 +100,14 @@ impl Simulation {
     /// trace's page inventory: one canonical build, of which every tenant's
     /// [`TenantSpace`] is a view.
     ///
-    /// Spaces are stamped eagerly (one per DID at construction) when the
-    /// trace covers the contiguous DID range `0..N` and no
-    /// [`SimParams::table_budget`] is set — the historical layout,
-    /// byte-identical to earlier versions. A shard trace (strided DIDs) or
-    /// a table budget switches to a lazy [`SpacePool`]: spaces are stamped
-    /// from the canonical layout on first touch and evicted LRU under the
-    /// budget. Either pool produces bit-identical reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fault plan is combined with a shard trace: the
-    /// injector's event schedule is defined over the full DID population,
-    /// so fault runs must use the unsharded trace.
+    /// Spaces are stamped eagerly (one per DID `0..N` at construction)
+    /// unless [`SimParams::table_budget`] is set — the historical layout,
+    /// byte-identical to earlier versions. A table budget switches to a
+    /// lazy [`SpacePool`]: spaces are stamped from the canonical layout on
+    /// first touch and evicted LRU under the budget. Either pool produces
+    /// bit-identical reports.
     pub fn new(config: TranslationConfig, params: SimParams, trace: HyperTrace) -> Self {
         let inventory = trace.page_inventory();
-        let (did_first, did_stride) = trace.did_layout();
-        assert!(
-            params.fault_plan.is_none() || (did_first, did_stride) == (0, 1),
-            "fault injection requires the unsharded trace (DIDs 0..N); run shards with an empty fault plan"
-        );
         // Every tenant runs the same OS and driver, so the page inventory —
         // and hence the table *shape* — is shared. Build the canonical
         // layout once and stamp out the per-DID instances instead of
@@ -136,12 +124,9 @@ impl Simulation {
             context_entries: params.context_entries,
             scheme: params.translation_scheme,
         };
-        // Shard lanes carry strided global DIDs, so the DID bound is the
-        // highest lane DID + 1, not the lane count.
-        let did_bound =
-            (did_first as u64 + (trace.tenants().max(1) - 1) as u64 * did_stride as u64 + 1) as u32;
-        let iommu = if (did_first, did_stride) == (0, 1) && params.table_budget.is_none() {
-            let dids: Vec<Did> = (0..trace.tenants()).map(Did::new).collect();
+        let did_bound = trace.tenants();
+        let iommu = if params.table_budget.is_none() {
+            let dids: Vec<Did> = (0..did_bound).map(Did::new).collect();
             Iommu::new(iommu_params, b.build_many(&dids))
         } else {
             // Lazy pool: the canonical (DID 0) build plus the DID bound.
@@ -172,9 +157,7 @@ impl Simulation {
             completion: CompletionStage::new(
                 params.warmup_packets,
                 params.link.bytes_delivered(1).raw(),
-                params
-                    .per_tenant
-                    .then(|| (trace.tenants(), did_first, did_stride)),
+                params.per_tenant.then(|| trace.tenants()),
             ),
             prefetch: PrefetchStage::new(prefetch, params.history_read, pcie_round),
             lookup: LookupStage::new(devtlb, params.bypass_translation),
@@ -317,11 +300,6 @@ impl Simulation {
                 return RunOutcome::Completed(Box::new(self.finish(obs)));
             }
             frames += 1;
-            if let Some(limit) = ctl.panic_after_frames {
-                if frames >= limit {
-                    panic!("injected worker failure after {frames} frames");
-                }
-            }
             let now = self.state.arrival.slot_time();
             if let (Some(every), Some(at)) = (every_ps, next_ckpt_ps.as_mut()) {
                 if *at <= now.as_ps() {
@@ -922,7 +900,8 @@ mod tests {
         )
         .run();
         let pt = report.per_tenant.as_ref().expect("per-tenant was opted in");
-        assert_eq!(pt.tenants.len(), 8);
+        let dids: Vec<u32> = pt.tenants.iter().map(|t| t.did).collect();
+        assert_eq!(dids, (0..8).collect::<Vec<u32>>());
         let packets: u64 = pt.tenants.iter().map(|t| t.packets).sum();
         let drops: u64 = pt.tenants.iter().map(|t| t.drops).sum();
         let bytes: u64 = pt.tenants.iter().map(|t| t.bytes).sum();

@@ -30,25 +30,14 @@ pub(crate) struct CompletionStage {
     warmup_packets: u64,
     packet_latency: LatencyStats,
     bytes_per_packet: u64,
-    /// Opt-in per-DID accumulators. Slot `i` holds the tenant with global
-    /// DID `did_first + i * did_stride` — a sharded trace's lanes carry a
-    /// strided DID sequence, not `0..N` (see `HyperTrace::did_layout`).
+    /// Opt-in per-DID accumulators, indexed by DID.
     tenants: Option<Vec<TenantStat>>,
-    /// First global DID of the trace's lanes.
-    did_first: u32,
-    /// DID stride between consecutive lanes (1 for unsharded traces).
-    did_stride: u32,
 }
 
 impl CompletionStage {
-    /// Creates the stage; `per_tenant` carries `(count, did_first,
-    /// did_stride)` when per-DID collection was opted in.
-    pub(crate) fn new(
-        warmup_packets: u64,
-        bytes_per_packet: u64,
-        per_tenant: Option<(u32, u32, u32)>,
-    ) -> Self {
-        let (did_first, did_stride) = per_tenant.map_or((0, 1), |(_, f, s)| (f, s));
+    /// Creates the stage; `per_tenant` carries the tenant count when
+    /// per-DID collection was opted in.
+    pub(crate) fn new(warmup_packets: u64, bytes_per_packet: u64, per_tenant: Option<u32>) -> Self {
         CompletionStage {
             processed: 0,
             dropped: 0,
@@ -58,30 +47,21 @@ impl CompletionStage {
             warmup_packets,
             packet_latency: LatencyStats::new(),
             bytes_per_packet,
-            tenants: per_tenant.map(|(count, first, stride)| {
+            tenants: per_tenant.map(|count| {
                 (0..count)
-                    .map(|i| TenantStat {
-                        did: first + i * stride,
+                    .map(|did| TenantStat {
+                        did,
                         ..TenantStat::default()
                     })
                     .collect()
             }),
-            did_first,
-            did_stride,
         }
-    }
-
-    /// Maps a global DID to its accumulator slot.
-    #[inline]
-    fn slot(first: u32, stride: u32, did: Did) -> usize {
-        ((did.raw() - first) / stride) as usize
     }
 
     /// Attributes a DevTLB probe outcome to its tenant.
     pub(crate) fn note_devtlb(&mut self, did: Did, hit: bool) {
-        let (first, stride) = (self.did_first, self.did_stride);
         if let Some(acc) = self.tenants.as_mut() {
-            let t = &mut acc[Self::slot(first, stride, did)];
+            let t = &mut acc[did.raw() as usize];
             if hit {
                 t.devtlb_hits += 1;
             } else {
@@ -92,9 +72,8 @@ impl CompletionStage {
 
     /// Attributes a Prefetch Buffer hit to its tenant.
     pub(crate) fn note_pb_hit(&mut self, did: Did) {
-        let (first, stride) = (self.did_first, self.did_stride);
         if let Some(acc) = self.tenants.as_mut() {
-            acc[Self::slot(first, stride, did)].pb_hits += 1;
+            acc[did.raw() as usize].pb_hits += 1;
         }
     }
 
@@ -104,9 +83,8 @@ impl CompletionStage {
         if O::ENABLED {
             obs.record(now.as_ps(), Event::PacketDrop { did });
         }
-        let (first, stride) = (self.did_first, self.did_stride);
         if let Some(acc) = self.tenants.as_mut() {
-            acc[Self::slot(first, stride, did)].drops += 1;
+            acc[did.raw() as usize].drops += 1;
         }
     }
 
@@ -115,9 +93,8 @@ impl CompletionStage {
     /// reachable with a disabled observer, so no events are owed.
     pub(crate) fn record_drops_bulk(&mut self, did: Did, n: u64) {
         self.dropped += n;
-        let (first, stride) = (self.did_first, self.did_stride);
         if let Some(acc) = self.tenants.as_mut() {
-            acc[Self::slot(first, stride, did)].drops += n;
+            acc[did.raw() as usize].drops += n;
         }
     }
 
@@ -129,9 +106,8 @@ impl CompletionStage {
         if O::ENABLED {
             obs.record(now.as_ps(), Event::FaultedDrop { did });
         }
-        let (first, stride) = (self.did_first, self.did_stride);
         if let Some(acc) = self.tenants.as_mut() {
-            acc[Self::slot(first, stride, did)].faulted_drops += 1;
+            acc[did.raw() as usize].faulted_drops += 1;
         }
     }
 
@@ -156,9 +132,8 @@ impl CompletionStage {
                 },
             );
         }
-        let (first, stride) = (self.did_first, self.did_stride);
         if let Some(acc) = self.tenants.as_mut() {
-            let t = &mut acc[Self::slot(first, stride, did)];
+            let t = &mut acc[did.raw() as usize];
             t.packets += 1;
             t.bytes += self.bytes_per_packet;
             t.latency.record(latency);

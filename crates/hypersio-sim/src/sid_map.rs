@@ -60,16 +60,14 @@ impl SidMap {
         }
     }
 
-    /// Builds the map for a trace: each lane's SID resolves to its global
-    /// DID. For an unsharded trace that is tenant `i` → `Did(i)`; a shard
-    /// trace's lanes carry strided global DIDs (see
-    /// [`HyperTrace::did_layout`]).
+    /// Builds the map for a trace: tenant `i`'s SID resolves to `Did(i)`.
     pub fn for_trace(trace: &HyperTrace) -> Self {
         Self::from_pairs(
             trace
-                .tenant_ids()
+                .tenant_sids()
                 .into_iter()
-                .map(|(sid, did)| (sid.raw(), did))
+                .zip(0..)
+                .map(|(sid, did)| (sid.raw(), Did::new(did)))
                 .collect(),
         )
     }
@@ -181,14 +179,13 @@ mod tests {
             .build();
         let mut map = SidMap::for_trace(&trace);
         assert_eq!(map.len(), 1024);
+        let sids: Vec<u32> = trace.tenant_sids().iter().map(|s| s.raw()).collect();
         let reference = SortedSlice::new(
-            trace
-                .tenant_ids()
-                .into_iter()
-                .map(|(s, d)| (s.raw(), d))
+            sids.iter()
+                .zip(0..)
+                .map(|(&s, d)| (s, Did::new(d)))
                 .collect(),
         );
-        let sids: Vec<u32> = trace.tenant_sids().iter().map(|s| s.raw()).collect();
         for &sid in &sids {
             assert_eq!(Some(map.resolve(sid)), reference.resolve(sid));
             assert_eq!(Some(map.resolve(sid)), reference.resolve(sid));
@@ -226,17 +223,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_trace_resolves_to_global_dids() {
-        let builder = HyperTraceBuilder::new(WorkloadKind::Iperf3, 8)
+    fn custom_trace_sids_resolve_to_their_lane_index() {
+        let sids: Vec<Sid> = [0x310, 0x118, 0x200].map(Sid::new).to_vec();
+        let trace = HyperTraceBuilder::new(WorkloadKind::Iperf3, 3)
+            .sids(sids.clone())
             .scale(5000)
-            .seed(3);
-        let shard = builder.shard(1, 4).build();
-        let mut map = SidMap::for_trace(&shard);
-        assert_eq!(map.len(), 2);
-        for (sid, did) in shard.tenant_ids() {
-            assert_eq!(did.raw() % 4, 1, "shard 1 of 4 owns DIDs ≡ 1 (mod 4)");
-            assert_eq!(map.resolve(sid.raw()), did);
+            .build();
+        let mut map = SidMap::for_trace(&trace);
+        assert_eq!(map.len(), 3);
+        for (did, sid) in (0..).zip(&sids) {
+            assert_eq!(map.resolve(sid.raw()), Did::new(did));
         }
+        assert_eq!(map.sid_bound(), 0x311);
     }
 
     #[test]

@@ -113,8 +113,6 @@ pub struct HyperTraceBuilder {
     scale: u64,
     fixed_requests: Option<u64>,
     sids: Option<Vec<Sid>>,
-    shard: u32,
-    shard_count: u32,
 }
 
 impl HyperTraceBuilder {
@@ -136,8 +134,6 @@ impl HyperTraceBuilder {
             scale: 1,
             fixed_requests: None,
             sids: None,
-            shard: 0,
-            shard_count: 1,
         }
     }
 
@@ -145,12 +141,6 @@ impl HyperTraceBuilder {
     pub fn interleaving(mut self, interleaving: Interleaving) -> Self {
         self.interleaving = interleaving;
         self
-    }
-
-    /// The full tenant population this builder covers (before any
-    /// [`shard`](HyperTraceBuilder::shard) restriction is applied).
-    pub fn tenant_count(&self) -> u32 {
-        self.tenants
     }
 
     /// Sets the RNG seed (tenant request counts, irregular jumps, RAND
@@ -188,43 +178,14 @@ impl HyperTraceBuilder {
     /// Assigns each tenant the given Source ID instead of the default
     /// `Sid::new(did)`. Real deployments derive SIDs from the VF BDFs a
     /// hypervisor hands out (see `hypersio_device::SriovDevice`); the
-    /// partitioning schemes key on these values. With [`shard`], the list
-    /// still covers *all* tenants — each shard picks out its own.
+    /// partitioning schemes key on these values.
     ///
     /// # Panics
     ///
     /// Panics (at build) if the list length differs from the tenant count
     /// or contains duplicate SIDs.
-    ///
-    /// [`shard`]: HyperTraceBuilder::shard
     pub fn sids(mut self, sids: Vec<Sid>) -> Self {
         self.sids = Some(sids);
-        self
-    }
-
-    /// Restricts the trace to shard `index` of `of`: the tenants whose
-    /// global DID is congruent to `index` modulo `of`. Tenant lanes depend
-    /// only on `(workload, seed, did, scale)`, so each tenant's packet
-    /// stream in a shard is identical to its stream in the full trace —
-    /// `of` shard traces together cover exactly the full tenant
-    /// population, which is what makes DID-sharded parallel simulation
-    /// deterministic.
-    ///
-    /// The interleaving runs over the shard's own lanes (round-robin
-    /// cycles its DIDs in ascending order; RAND re-seeds from the same
-    /// interleaving seed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `of` is zero or `index >= of`.
-    pub fn shard(mut self, index: u32, of: u32) -> Self {
-        assert!(of > 0, "shard count must be at least 1");
-        assert!(
-            index < of,
-            "shard index {index} out of range for {of} shards"
-        );
-        self.shard = index;
-        self.shard_count = of;
         self
     }
 
@@ -235,8 +196,7 @@ impl HyperTraceBuilder {
     /// Panics on the constructor-bound violations [`try_build`]
     /// (the non-panicking variant for user-facing input) reports as
     /// errors: a SID list whose length differs from the tenant count,
-    /// duplicate SIDs, a SID not below [`Sid::BOUND`], or a shard that
-    /// owns no tenants.
+    /// duplicate SIDs, or a SID not below [`Sid::BOUND`].
     ///
     /// [`try_build`]: HyperTraceBuilder::try_build
     pub fn build(self) -> HyperTrace {
@@ -252,9 +212,8 @@ impl HyperTraceBuilder {
     /// # Errors
     ///
     /// Returns a [`TraceBuildError`] when the SID list's length differs
-    /// from the tenant count or contains duplicates, when a SID (a DID,
-    /// for default SIDs) is not below [`Sid::BOUND`], or when sharding
-    /// leaves this shard without any tenants.
+    /// from the tenant count or contains duplicates, or when a SID (a DID,
+    /// for default SIDs) is not below [`Sid::BOUND`].
     pub fn try_build(self) -> Result<HyperTrace, TraceBuildError> {
         let mut params = self.kind.params();
         if let Some(fixed) = self.fixed_requests {
@@ -286,17 +245,7 @@ impl HyperTraceBuilder {
                 Sid::BOUND
             )));
         }
-        if self.shard >= self.tenants {
-            return Err(TraceBuildError(format!(
-                "shard {} of {} owns no tenants ({} total)",
-                self.shard, self.shard_count, self.tenants
-            )));
-        }
-        // Lane state depends only on (params, seed, global did, scale), so
-        // a shard's lanes are bit-identical to the same tenants' lanes in
-        // the full trace.
-        let lanes: Vec<LaneState> = (self.shard..self.tenants)
-            .step_by(self.shard_count as usize)
+        let lanes: Vec<LaneState> = (0..self.tenants)
             .map(|t| {
                 let mut lane = LaneState::new(&params, Did::new(t), self.seed, self.scale);
                 if let Some(sids) = &self.sids {
@@ -318,12 +267,16 @@ impl HyperTraceBuilder {
             burst_left: self.interleaving.burst(),
             done: false,
             emitted: 0,
-            did_first: self.shard,
-            did_stride: self.shard_count,
             seed: self.seed,
         })
     }
 }
+
+/// The DID layout words `(first, stride)` of a `hypersio-checkpoint/v1`
+/// trace cursor. Lane `i` always carries DID `i`, so they are the constants
+/// `(0, 1)`; they stay in the body so that v1 checkpoints keep resuming, and
+/// go with the planned v2 schema bump that retires the table-pool words.
+const V1_DID_LAYOUT: [u64; 2] = [0, 1];
 
 /// A streaming hyper-tenant trace: the interleaved packet sequence consumed
 /// by the performance model.
@@ -348,17 +301,13 @@ pub struct HyperTrace {
     burst_left: u64,
     done: bool,
     emitted: u64,
-    /// Global DID of the first lane (= the shard index).
-    did_first: u32,
-    /// Stride between consecutive lanes' global DIDs (= the shard count).
-    did_stride: u32,
     /// The builder's RNG seed, kept as immutable run identity (the
     /// checkpoint header fingerprints it; every lane derives from it).
     seed: u64,
 }
 
 impl HyperTrace {
-    /// Returns the number of tenants (in this shard, when sharded).
+    /// Returns the number of tenants; lane `i` carries DID `i`.
     pub fn tenants(&self) -> u32 {
         self.lanes.len() as u32
     }
@@ -379,21 +328,9 @@ impl HyperTrace {
         self.seed
     }
 
-    /// Returns this trace's DID layout as `(first, stride)`: lane `i`
-    /// carries global DID `first + i * stride`. An unsharded trace is
-    /// `(0, 1)`; shard `s` of `S` is `(s, S)`.
-    pub fn did_layout(&self) -> (u32, u32) {
-        (self.did_first, self.did_stride)
-    }
-
     /// Returns each tenant's Source ID, in lane order (ascending DID).
     pub fn tenant_sids(&self) -> Vec<Sid> {
         self.lanes.iter().map(|l| l.sid).collect()
-    }
-
-    /// Returns each tenant's `(Source ID, global DID)` pair, in lane order.
-    pub fn tenant_ids(&self) -> Vec<(Sid, Did)> {
-        self.lanes.iter().map(|l| (l.sid, l.did)).collect()
     }
 
     /// Returns the per-tenant page inventory (identical for every tenant).
@@ -425,8 +362,7 @@ impl HyperTrace {
     /// so a resumed run replays the exact packet sequence from here.
     pub fn snapshot_words(&self, out: &mut Vec<u64>) {
         out.push(self.lanes.len() as u64);
-        out.push(self.did_first as u64);
-        out.push(self.did_stride as u64);
+        out.extend(V1_DID_LAYOUT);
         match &self.selector_rng {
             Some(rng) => {
                 out.push(1);
@@ -445,12 +381,12 @@ impl HyperTrace {
 
     /// Restores a cursor captured by [`Self::snapshot_words`] into a trace
     /// freshly built with the same constructor arguments. Returns `None`
-    /// on a corrupt stream or a shape mismatch (tenant count, shard
+    /// on a corrupt stream or a shape mismatch (tenant count, DID
     /// layout, interleaving kind, or per-lane identity).
     pub fn restore_words(&mut self, r: &mut hypersio_cache::WordReader<'_>) -> Option<()> {
         if r.next()? != self.lanes.len() as u64
-            || r.next()? != self.did_first as u64
-            || r.next()? != self.did_stride as u64
+            || r.next()? != V1_DID_LAYOUT[0]
+            || r.next()? != V1_DID_LAYOUT[1]
         {
             return None;
         }
@@ -717,81 +653,21 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_the_tenant_population() {
-        let shards = 3;
-        let mut dids = Vec::new();
-        for s in 0..shards {
-            let t = HyperTraceBuilder::new(WorkloadKind::Iperf3, 8)
-                .scale(1000)
-                .shard(s, shards)
-                .build();
-            assert_eq!(t.did_layout(), (s, shards));
-            for (sid, did) in t.tenant_ids() {
-                assert_eq!(did.raw() % shards, s);
-                assert_eq!(sid.raw(), did.raw());
-                dids.push(did.raw());
-            }
-        }
-        dids.sort_unstable();
-        assert_eq!(dids, (0..8).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn sharded_lanes_match_the_full_trace_per_tenant() {
-        // Each tenant's packet subsequence in a shard equals its
-        // subsequence in the full trace, up to the differing edge-effect
-        // cut-offs — the invariant DID-sharded simulation rests on.
-        let full: Vec<TracePacket> =
+    fn lane_streams_do_not_depend_on_the_other_tenants() {
+        // A lane's packets depend only on (workload, seed, DID, scale), so
+        // tenants 0..3 emit the same packets with 3 or 6 tenants, up to the
+        // differing edge-effect cut-offs.
+        let small: Vec<TracePacket> =
+            trace(WorkloadKind::Websearch, 3, Interleaving::round_robin(1)).collect();
+        let large: Vec<TracePacket> =
             trace(WorkloadKind::Websearch, 6, Interleaving::round_robin(1)).collect();
-        for s in 0..2 {
-            let shard: Vec<TracePacket> = HyperTraceBuilder::new(WorkloadKind::Websearch, 6)
-                .interleaving(Interleaving::round_robin(1))
-                .scale(200)
-                .seed(3)
-                .shard(s, 2)
-                .build()
-                .collect();
-            for did in (s..6).step_by(2) {
-                let a: Vec<_> = full.iter().filter(|p| p.did.raw() == did).collect();
-                let b: Vec<_> = shard.iter().filter(|p| p.did.raw() == did).collect();
-                let n = a.len().min(b.len());
-                assert!(n > 0, "tenant {did} emitted nothing");
-                assert_eq!(a[..n], b[..n], "tenant {did} diverged");
-            }
+        for did in 0..3 {
+            let a: Vec<_> = small.iter().filter(|p| p.did.raw() == did).collect();
+            let b: Vec<_> = large.iter().filter(|p| p.did.raw() == did).collect();
+            let n = a.len().min(b.len());
+            assert!(n > 0, "tenant {did} emitted nothing");
+            assert_eq!(a[..n], b[..n], "tenant {did} diverged");
         }
-    }
-
-    #[test]
-    fn shard_with_custom_sids_picks_its_own() {
-        let sids: Vec<Sid> = (0..4).map(|i| Sid::new(0x100 + i)).collect();
-        let t = HyperTraceBuilder::new(WorkloadKind::Iperf3, 4)
-            .sids(sids)
-            .scale(1000)
-            .shard(1, 2)
-            .build();
-        assert_eq!(t.tenant_sids(), vec![Sid::new(0x101), Sid::new(0x103)]);
-        assert_eq!(
-            t.tenant_ids()
-                .iter()
-                .map(|(_, d)| d.raw())
-                .collect::<Vec<_>>(),
-            vec![1, 3]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_index_out_of_range_rejected() {
-        let _ = HyperTraceBuilder::new(WorkloadKind::Iperf3, 4).shard(2, 2);
-    }
-
-    #[test]
-    fn empty_shard_rejected() {
-        let err = HyperTraceBuilder::new(WorkloadKind::Iperf3, 2)
-            .shard(3, 4)
-            .try_build()
-            .unwrap_err();
-        assert!(err.to_string().contains("owns no tenants"));
     }
 
     #[test]

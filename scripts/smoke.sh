@@ -10,9 +10,8 @@
 # with `diff -r` (the wall-clock numbers of bench_hotpath and bench_scale
 # excepted). Checks: obs_validate pins every report, event trace, time
 # series, span trace and checkpoint to its schema, and `cmp` holds the
-# byte-identity promises (default arch = x86-4, sharded merges invariant
-# in --jobs, interrupt+resume = uninterrupted, a retried shard panic =
-# a clean run).
+# byte-identity promises (default arch = x86-4, interrupt+resume =
+# uninterrupted).
 set -euo pipefail
 
 out="$(realpath -m "${1:?usage: scripts/smoke.sh OUT_DIR}")"
@@ -36,10 +35,9 @@ section() {
   echo "== smoke: $1"
 }
 
-# Cross-ISA: every --arch value validates against sim_report/v1, the
+# Cross-ISA: every --arch value validates against sim_report/v1, and the
 # default geometry is byte-identical to an explicit --arch x86-4 run (the
-# goldens are pinned under it), and sharded RISC-V runs merge identically
-# for any --jobs.
+# goldens are pinned under it).
 section arch
 for arch in x86-4 x86-5 sv39x4 sv48x4; do
   cli "$d/sim_$arch" sim \
@@ -58,13 +56,6 @@ cli "$d/sim_default" sim \
   --tenants 16 --scale 2000 \
   --report-json "$d/report_default.json"
 cmp "$d/report_default.json" "$d/report_x86-4.json"
-cli "$d/sv39_shards_serial" sim \
-  --tenants 64 --scale 2000 --arch sv39x4 --shards 4 --jobs 1 \
-  --report-json "$d/sv39_shards_serial.json"
-cli "$d/sv39_shards_parallel" sim \
-  --tenants 64 --scale 2000 --arch sv39x4 --shards 4 --jobs 4 \
-  --report-json "$d/sv39_shards_parallel.json"
-cmp "$d/sv39_shards_serial.json" "$d/sv39_shards_parallel.json"
 
 # Wall-clock harness schema only (no thresholds: shared runners are too
 # noisy): the tiny-scale run must carry a complete `stages` block per case,
@@ -80,8 +71,8 @@ grep -q '"stages"' "$d/bench_smoke.json" || {
 cargo run --release -q -p bench --bin bench_hotpath -- --validate BENCH_hotpath.json
 
 # Bounded memory: a truncated 100k-tenant streaming curve under a hard RSS
-# ceiling, both curves against bench_scale/v1, then a sharded lazy-table
-# CLI run whose report and event trace must validate. The curve peaks near
+# ceiling, both curves against bench_scale/v1, then a lazy-table CLI run
+# whose report and event trace must validate. The curve peaks near
 # 16 MiB with flat DID- and SID-indexed tenant state and near 27 MiB with a
 # hash map per tenant-indexed table (SID-predictor, IOVA history, context
 # table, pool residency), so the 24 MiB ceiling fails a return to
@@ -92,8 +83,8 @@ MAX_TENANTS=100000 REQS=12 WARMUP=100 BUDGET_MB=64 \
   --out "$d/scale_smoke.json" --rss-limit-mb 24
 cargo run --release -q -p bench --bin bench_scale -- --validate "$d/scale_smoke.json"
 cargo run --release -q -p bench --bin bench_scale -- --validate BENCH_scale.json
-cli "$d/sharded" sim \
-  --tenants 1024 --scale 2000 --shards 4 --table-budget-mb 64 \
+cli "$d/lazy_tables" sim \
+  --tenants 1024 --scale 2000 --table-budget-mb 64 \
   --per-tenant --trace-out "$d/events.jsonl" \
   --report-json "$d/report.json"
 obs_validate "$d/events.jsonl" "$d/report.json"
@@ -139,8 +130,8 @@ SCALE=5 MAX_TENANTS=1024 \
 
 # Interrupt–resume (DESIGN.md §16): the resumed report is byte-identical
 # and the two event traces concatenate (minus meta lines) to the
-# uninterrupted one, also under an active fault plan; a shard that panics
-# retries into an identical merge; the checkpoint validates.
+# uninterrupted one, also under an active fault plan; the checkpoint
+# validates.
 section resume
 cli "$d/full" sim \
   --tenants 64 --scale 2000 \
@@ -179,14 +170,6 @@ cli "$d/fpart2" sim \
 cmp "$d/ffull.json" "$d/fresumed.json"
 cmp <(tail -n +2 "$d/fpart1.jsonl"; tail -n +2 "$d/fpart2.jsonl") \
   <(tail -n +2 "$d/ffull.jsonl")
-cli "$d/shard_clean" sim \
-  --tenants 64 --scale 2000 --shards 2 \
-  --report-json "$d/shard_clean.json"
-cli "$d/shard_retry" sim \
-  --tenants 64 --scale 2000 --shards 2 \
-  --fail-shard 0 --max-shard-attempts 2 \
-  --report-json "$d/shard_retry.json"
-cmp "$d/shard_clean.json" "$d/shard_retry.json"
 
 # Fault injection: a fault_plan/v1 file plus CLI overrides drive storms,
 # churn and IO page faults; the outputs validate; a plan whose backoff

@@ -6,7 +6,7 @@
 use std::fmt;
 
 use hypersio_cache::PolicyKind;
-use hypersio_sim::{FaultPlan, SimParams, WalkGeometry, MAX_PRI_LATENCY_US};
+use hypersio_sim::{FaultPlan, SimParams, WalkGeometry, MAX_PRI_LATENCY_US, PAPER_TENANT_COUNTS};
 use hypersio_trace::{Interleaving, WorkloadKind};
 use hypersio_types::SimDuration;
 use hypertrio_core::TranslationConfig;
@@ -76,15 +76,8 @@ pub struct SimArgs {
     /// Warm-up packets excluded from the bandwidth measurement.
     pub warmup: u64,
     /// Worker threads for `sweep` (each sweep point is an independent
-    /// simulation; results are bit-identical to a serial sweep) and for
-    /// sharded `sim` runs (shards fan out over this many threads; the
-    /// merged report is bit-identical for any value).
+    /// simulation; results are bit-identical to a serial sweep).
     pub jobs: usize,
-    /// Device-queue shard count for `sim`: DIDs are dealt round-robin
-    /// across this many independently simulated queues and the reports
-    /// merged deterministically. `1` (the default) is the plain
-    /// single-queue run.
-    pub shards: u32,
     /// Page-table budget, in MiB, that sizes the lazy table pool's
     /// residency cap. `None` keeps the eager (all-resident) pool.
     pub table_budget_mb: Option<u64>,
@@ -127,13 +120,6 @@ pub struct SimArgs {
     /// this, re-derivable memory (lazy page-table residency, the walk
     /// memo) is shed. The report is unaffected.
     pub rss_limit_mb: Option<u64>,
-    /// Attempts per shard before a panicking worker fails the run
-    /// (`sim` with `--shards > 1`); enables shard supervision.
-    pub max_shard_attempts: Option<u32>,
-    /// Test knob: make this shard panic once on its first attempt, to
-    /// exercise supervision end-to-end. Documented, deterministic, and
-    /// harmless — the retried run's merged report is bit-identical.
-    pub fail_shard: Option<u32>,
     /// Load a declarative `fault_plan/v1` JSON file (`sim`).
     pub fault_plan: Option<String>,
     /// Override/add a periodic global invalidation storm, period in
@@ -159,7 +145,6 @@ impl Default for SimArgs {
             policy: None,
             warmup: 1000,
             jobs: default_jobs(),
-            shards: 1,
             table_budget_mb: None,
             per_tenant: false,
             trace_out: None,
@@ -174,8 +159,6 @@ impl Default for SimArgs {
             resume_from: None,
             stop_after_us: None,
             rss_limit_mb: None,
-            max_shard_attempts: None,
-            fail_shard: None,
             fault_plan: None,
             inv_storm_us: None,
             fault_rate: None,
@@ -301,14 +284,10 @@ OPTIONS (sim / sweep / trace):
     --interleave <rr1|rr4|rand1>                tenant order    [rr1]
     --policy <lru|lfu|fifo|random>              DevTLB policy   [preset]
     --warmup <N>           packets excluded from measurement    [1000]
-    --jobs <N>             worker threads for sweep points and shards
+    --jobs <N>             worker threads for sweep points
                            (results are identical for any N)    [cores]
 
 SCALE-OUT (sim only; results stay deterministic):
-    --shards <N>           deal tenants across N independent device
-                           queues, simulated in parallel and merged
-                           deterministically (any --jobs value gives a
-                           bit-identical merged report)          [1]
     --table-budget-mb <N>  stamp tenant page tables lazily on first touch
                            and LRU-evict them past N MiB counted at one
                            private table per tenant (a resident tenant
@@ -347,12 +326,6 @@ RESILIENCE (sim only; the report stays bit-identical):
                               an uninterrupted run
     --rss-limit-mb <N>        shed re-derivable memory (lazy page tables,
                               walk memo) when process RSS exceeds N MiB
-    --max-shard-attempts <N>  with --shards > 1: contain a panicking
-                              worker and retry its shard up to N times
-                              (in-memory checkpoints; merged report is
-                              bit-identical to a run that never panicked)
-    --fail-shard <S>          test knob: shard S panics once on its first
-                              attempt, to exercise supervision end-to-end
 
 FAULT INJECTION (sim only; deterministic, seeded):
     --fault-plan <path>    load a declarative fault_plan/v1 JSON file
@@ -474,14 +447,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                     return Err(ParseError("--jobs must be at least 1".into()));
                 }
             }
-            "--shards" => {
-                parsed.shards = value
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --shards: {e}")))?;
-                if parsed.shards == 0 {
-                    return Err(ParseError("--shards must be at least 1".into()));
-                }
-            }
             "--table-budget-mb" => {
                 let mb: u64 = value
                     .parse()
@@ -525,22 +490,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 }
                 parsed.rss_limit_mb = Some(mb);
             }
-            "--max-shard-attempts" => {
-                let attempts: u32 = value
-                    .parse()
-                    .map_err(|e| ParseError(format!("bad --max-shard-attempts: {e}")))?;
-                if attempts == 0 {
-                    return Err(ParseError("--max-shard-attempts must be at least 1".into()));
-                }
-                parsed.max_shard_attempts = Some(attempts);
-            }
-            "--fail-shard" => {
-                parsed.fail_shard = Some(
-                    value
-                        .parse()
-                        .map_err(|e| ParseError(format!("bad --fail-shard: {e}")))?,
-                );
-            }
             "--fault-plan" => parsed.fault_plan = Some(value.clone()),
             "--inv-storm" => parsed.inv_storm_us = Some(positive_us(flag, value)?),
             "--fault-rate" => {
@@ -575,32 +524,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     if let Interleaving::Random { burst, .. } = parsed.interleaving {
         parsed.interleaving = Interleaving::random(burst, parsed.seed);
     }
-    if parsed.shards > parsed.tenants {
+    let min_sweep = PAPER_TENANT_COUNTS[0];
+    if command == "sweep" && parsed.tenants < min_sweep {
         return Err(ParseError(format!(
-            "--shards {} exceeds --tenants {}: every shard needs at least one tenant",
-            parsed.shards, parsed.tenants
+            "sweep --tenants must be at least {min_sweep}, the smallest sweep point"
         )));
-    }
-    if parsed.shards > 1 && parsed.wants_faults() {
-        return Err(ParseError(
-            "fault injection requires a single shard: the injector's schedule \
-             covers the full DID population (drop --shards or the fault flags)"
-                .into(),
-        ));
-    }
-    if parsed.shards > 1 && parsed.timeseries_out.is_some() {
-        return Err(ParseError(
-            "--timeseries-out is not supported with --shards > 1: windowed \
-             time series are per-queue and have no deterministic merge"
-                .into(),
-        ));
-    }
-    if parsed.shards > 1 && parsed.spans_out.is_some() {
-        return Err(ParseError(
-            "--spans-out is not supported with --shards > 1: span rings are \
-             per-queue and have no deterministic merge"
-                .into(),
-        ));
     }
     if parsed.checkpoint_every_us.is_some() && parsed.checkpoint_out.is_none() {
         return Err(ParseError(
@@ -617,14 +545,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         ));
     }
     let wants_checkpointing = parsed.checkpoint_out.is_some() || parsed.resume_from.is_some();
-    if parsed.shards > 1 && (wants_checkpointing || parsed.rss_limit_mb.is_some()) {
-        return Err(ParseError(
-            "--checkpoint-out / --resume-from / --rss-limit-mb apply to the \
-             single-queue run; with --shards > 1 use --max-shard-attempts \
-             (workers checkpoint in memory and retry on their own)"
-                .into(),
-        ));
-    }
     if wants_checkpointing && parsed.timeseries_out.is_some() {
         return Err(ParseError(
             "--timeseries-out cannot be combined with checkpoint/resume: \
@@ -640,21 +560,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
              be silently incomplete"
                 .into(),
         ));
-    }
-    if parsed.shards == 1 && (parsed.max_shard_attempts.is_some() || parsed.fail_shard.is_some()) {
-        return Err(ParseError(
-            "--max-shard-attempts / --fail-shard supervise sharded workers; \
-             they need --shards > 1"
-                .into(),
-        ));
-    }
-    if let Some(shard) = parsed.fail_shard {
-        if shard >= parsed.shards {
-            return Err(ParseError(format!(
-                "--fail-shard {shard} is out of range: shards are 0..{}",
-                parsed.shards
-            )));
-        }
     }
 
     Ok(match command.as_str() {
@@ -762,6 +667,10 @@ mod tests {
             ("sim --pri-latency-us -3", "non-negative"),
             ("sim --pri-latency-us inf", "non-negative"),
             ("sim --fault-plan", "missing value"),
+            ("sweep --tenants 3", "at least 4"),
+            ("sim --shards 2", "unknown option"),
+            ("sim --max-shard-attempts 2", "unknown option"),
+            ("sim --fail-shard 0", "unknown option"),
         ] {
             let err = parse(&argv(input)).unwrap_err();
             assert!(
@@ -869,31 +778,21 @@ mod tests {
 
     #[test]
     fn scale_out_flags_parse_and_wire_params() {
-        let Command::Sim(args) =
-            parse(&argv("sim --tenants 64 --shards 4 --table-budget-mb 256")).unwrap()
+        let Command::Sim(args) = parse(&argv("sim --tenants 64 --table-budget-mb 256")).unwrap()
         else {
             panic!("expected sim");
         };
-        assert_eq!(args.shards, 4);
         assert_eq!(args.table_budget_mb, Some(256));
         assert_eq!(args.params().table_budget, Some(256 << 20));
-        // Defaults: one shard, eager tables.
-        assert_eq!(SimArgs::default().shards, 1);
+        // Default: eager tables.
         assert_eq!(SimArgs::default().params().table_budget, None);
     }
 
     #[test]
     fn scale_out_flag_errors() {
         for (input, needle) in [
-            ("sim --shards 0", "at least 1"),
-            ("sim --shards x", "bad --shards"),
             ("sim --table-budget-mb 0", "at least 1"),
             ("sim --table-budget-mb x", "bad --table-budget-mb"),
-            ("sim --shards 8 --tenants 4", "at least one tenant"),
-            ("sim --tenants 4 --shards 8", "at least one tenant"),
-            ("sim --shards 2 --fault-rate 0.1", "single shard"),
-            ("sim --shards 2 --timeseries-out ts.csv", "not supported"),
-            ("sim --shards 2 --spans-out sp.json", "not supported"),
         ] {
             let err = parse(&argv(input)).unwrap_err();
             assert!(
@@ -901,11 +800,6 @@ mod tests {
                 "input {input:?}: expected {needle:?} in {err}"
             );
         }
-        // The constraints are conjunctions: each half alone is fine.
-        assert!(parse(&argv("sim --shards 2 --tenants 4")).is_ok());
-        assert!(parse(&argv("sim --fault-rate 0.1")).is_ok());
-        assert!(parse(&argv("sim --timeseries-out ts.csv")).is_ok());
-        assert!(parse(&argv("sim --spans-out sp.json")).is_ok());
     }
 
     #[test]
@@ -923,14 +817,6 @@ mod tests {
             panic!("expected sim");
         };
         assert_eq!(args.resume_from.as_deref(), Some("ck.bin"));
-        let Command::Sim(args) = parse(&argv(
-            "sim --shards 4 --max-shard-attempts 2 --fail-shard 3",
-        ))
-        .unwrap() else {
-            panic!("expected sim");
-        };
-        assert_eq!(args.max_shard_attempts, Some(2));
-        assert_eq!(args.fail_shard, Some(3));
         // All off by default: the plain run stays byte-identical.
         let d = SimArgs::default();
         assert_eq!(
@@ -938,11 +824,9 @@ mod tests {
                 d.checkpoint_every_us,
                 d.checkpoint_out,
                 d.resume_from,
-                d.rss_limit_mb,
-                d.max_shard_attempts,
-                d.fail_shard
+                d.rss_limit_mb
             ),
-            (None, None, None, None, None, None)
+            (None, None, None, None)
         );
     }
 
@@ -963,18 +847,11 @@ mod tests {
             ),
             ("sim --stop-after-us 5", "needs --checkpoint-out"),
             ("sim --rss-limit-mb 0", "at least 1"),
-            ("sim --max-shard-attempts 0", "at least 1"),
-            ("sim --shards 2 --checkpoint-out c.bin", "single-queue"),
-            ("sim --shards 2 --resume-from c.bin", "single-queue"),
-            ("sim --shards 2 --rss-limit-mb 64", "single-queue"),
             (
                 "sim --checkpoint-out c.bin --timeseries-out t.csv",
                 "cannot",
             ),
             ("sim --resume-from c.bin --spans-out s.json", "cannot"),
-            ("sim --max-shard-attempts 3", "--shards > 1"),
-            ("sim --fail-shard 0", "--shards > 1"),
-            ("sim --shards 2 --fail-shard 2", "out of range"),
         ] {
             let err = parse(&argv(input)).unwrap_err();
             assert!(

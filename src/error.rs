@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use hypersio_trace::TraceBuildError;
+
 use crate::cli::ParseError;
 
 /// A user-facing failure of the `hypertrio` binary.
@@ -35,9 +37,9 @@ pub enum SimError {
         /// Which validation layer rejected it.
         source: hypersio_sim::CheckpointError,
     },
-    /// The sharded runner reported a precondition or supervision failure
-    /// (see [`hypersio_sim::SimError`]).
-    Run(hypersio_sim::SimError),
+    /// The trace could not be built from the arguments (a tenant count
+    /// whose default SIDs reach the SID bound).
+    Trace(TraceBuildError),
 }
 
 impl fmt::Display for SimError {
@@ -49,7 +51,7 @@ impl fmt::Display for SimError {
                 write!(f, "{path}: invalid fault plan: {message}")
             }
             SimError::Checkpoint { path, source } => write!(f, "{path}: {source}"),
-            SimError::Run(err) => write!(f, "{err}"),
+            SimError::Trace(err) => write!(f, "{err}"),
         }
     }
 }
@@ -61,7 +63,7 @@ impl std::error::Error for SimError {
             SimError::Io { source, .. } => Some(source),
             SimError::FaultPlan { .. } => None,
             SimError::Checkpoint { source, .. } => Some(source),
-            SimError::Run(err) => Some(err),
+            SimError::Trace(err) => Some(err),
         }
     }
 }
@@ -72,9 +74,9 @@ impl From<ParseError> for SimError {
     }
 }
 
-impl From<hypersio_sim::SimError> for SimError {
-    fn from(err: hypersio_sim::SimError) -> Self {
-        SimError::Run(err)
+impl From<TraceBuildError> for SimError {
+    fn from(err: TraceBuildError) -> Self {
+        SimError::Trace(err)
     }
 }
 
@@ -101,7 +103,7 @@ mod tests {
             source: hypersio_sim::CheckpointError::Corrupt,
         };
         assert!(err.to_string().contains("run.ckpt"));
-        let err = SimError::from(hypersio_sim::SimError::NoShards);
-        assert!(err.to_string().contains("at least one"));
+        let err = SimError::from(TraceBuildError("SID 0x1000000 is not below".into()));
+        assert!(err.to_string().contains("0x1000000"));
     }
 }

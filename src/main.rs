@@ -6,11 +6,10 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use hypersio_sim::{
-    run_sharded, sweep_specs_parallel, write_jsonl_many, FaultPlan, NullObserver, RingRecorder,
-    RunControl, RunOutcome, ShardSupervision, Simulation, SpanCollector, SweepSpec,
-    TimeSeriesSampler,
+    sweep_specs_parallel, FaultPlan, NullObserver, RingRecorder, RunControl, RunOutcome,
+    Simulation, SpanCollector, SweepSpec, TimeSeriesSampler,
 };
-use hypersio_trace::HyperTraceBuilder;
+use hypersio_trace::{HyperTrace, HyperTraceBuilder};
 use hypersio_types::SimDuration;
 use hypertrio::cli::{self, Command, SimArgs};
 use hypertrio::error::SimError;
@@ -79,10 +78,7 @@ fn main() -> ExitCode {
             run_sweep(&args);
             Ok(())
         }
-        Ok(Command::Trace(args)) => {
-            run_trace(&args);
-            Ok(())
-        }
+        Ok(Command::Trace(args)) => run_trace(&args),
         Err(err) => Err(SimError::from(err)),
     };
     match outcome {
@@ -94,11 +90,15 @@ fn main() -> ExitCode {
     }
 }
 
-fn trace_builder(args: &SimArgs) -> HyperTraceBuilder {
+/// Builds the trace `args` select, reporting a tenant population past the
+/// SID bound as an error instead of panicking.
+fn build_trace(args: &SimArgs) -> Result<HyperTrace, SimError> {
     HyperTraceBuilder::new(args.workload, args.tenants)
         .interleaving(args.interleaving)
         .scale(args.scale)
         .seed(args.seed)
+        .try_build()
+        .map_err(SimError::from)
 }
 
 /// Loads and parses `--fault-plan` (if given) and layers the command-line
@@ -122,20 +122,16 @@ fn load_fault_plan(args: &SimArgs) -> Result<FaultPlan, SimError> {
     args.assemble_fault_plan(file_plan).map_err(SimError::from)
 }
 
-/// The `sim` command. `--shards > 1` deals the tenants across independent
-/// device queues, simulated on `--jobs` worker threads and merged
-/// deterministically (bit-identical for any `--jobs`). A single queue
-/// always runs through `Simulation::run_controlled` with exactly the
-/// observers whose output was requested — none means the uninstrumented
-/// `NullObserver` loop — so every output flag works alongside every
-/// resilience flag the parser accepts, and an all-off control is the
-/// plain run.
+/// The `sim` command. The run always goes through
+/// `Simulation::run_controlled` with exactly the observers whose output
+/// was requested — none means the uninstrumented `NullObserver` loop — so
+/// every output flag works alongside every resilience flag the parser
+/// accepts, and an all-off control is the plain run.
 fn run_sim(args: &SimArgs) -> Result<(), SimError> {
     let config = args.config();
     println!("{config}");
     let params = args.params().with_fault_plan(load_fault_plan(args)?);
-    let trace_cap = args.trace_out.as_ref().map(|_| args.trace_cap);
-    // The parser admits time series and spans only on a single queue.
+    let trace = build_trace(args)?;
     let mut series = args.timeseries_out.as_ref().map(|_| {
         TimeSeriesSampler::new(
             args.window_us * 1_000_000,
@@ -154,100 +150,71 @@ fn run_sim(args: &SimArgs) -> Result<(), SimError> {
             collector
         }
     });
-    let (mut report, rings) = if args.shards > 1 {
-        println!(
-            "{} shards x {} worker thread(s)",
-            args.shards,
-            args.jobs.min(args.shards as usize)
-        );
-        // Supervision is armed by either flag; a bare --fail-shard still
-        // gets the default retry budget so the injected panic is
-        // survivable.
-        let supervision =
-            (args.max_shard_attempts.is_some() || args.fail_shard.is_some()).then(|| {
-                ShardSupervision {
-                    max_attempts: args.max_shard_attempts.unwrap_or(3),
-                    // Workers snapshot in memory at this cadence so a retry
-                    // resumes mid-shard instead of replaying from the start.
-                    checkpoint_every: Some(SimDuration::from_us(100)),
-                    fail_shard_once: args.fail_shard,
-                }
-            });
-        run_sharded(
-            &config,
-            &params,
-            &trace_builder(args),
-            args.shards,
-            args.jobs,
-            trace_cap,
-            supervision.as_ref(),
-        )?
-    } else {
-        let mut ring = trace_cap.map(RingRecorder::new);
-        let mut sim = Simulation::new(config, params, trace_builder(args).build());
-        if let Some(path) = args.resume_from.as_ref() {
-            let bytes = std::fs::read(path).map_err(|source| SimError::Io {
+    let mut ring = args
+        .trace_out
+        .as_ref()
+        .map(|_| RingRecorder::new(args.trace_cap));
+    let mut sim = Simulation::new(config, params, trace);
+    if let Some(path) = args.resume_from.as_ref() {
+        let bytes = std::fs::read(path).map_err(|source| SimError::Io {
+            path: path.clone(),
+            source,
+        })?;
+        sim.resume_from_bytes(&bytes)
+            .map_err(|source| SimError::Checkpoint {
                 path: path.clone(),
                 source,
             })?;
-            sim.resume_from_bytes(&bytes)
-                .map_err(|source| SimError::Checkpoint {
-                    path: path.clone(),
-                    source,
-                })?;
-            eprintln!("resumed from checkpoint {path}");
+        eprintln!("resumed from checkpoint {path}");
+    }
+    let ckpt_path = args.checkpoint_out.as_ref();
+    if ckpt_path.is_some() {
+        sigint::install();
+    }
+    let mut sink = |bytes: Vec<u8>| {
+        let path = ckpt_path.expect("sink armed only with a path");
+        if let Err(err) = write_atomically(path, &bytes) {
+            // A failed periodic snapshot must not kill a healthy run;
+            // the previous checkpoint (if any) is still intact on disk.
+            eprintln!("warning: could not write checkpoint {path}: {err}");
         }
-        let ckpt_path = args.checkpoint_out.as_ref();
-        if ckpt_path.is_some() {
-            sigint::install();
-        }
-        let mut sink = |bytes: Vec<u8>| {
-            let path = ckpt_path.expect("sink armed only with a path");
-            if let Err(err) = write_atomically(path, &bytes) {
-                // A failed periodic snapshot must not kill a healthy run;
-                // the previous checkpoint (if any) is still intact on disk.
-                eprintln!("warning: could not write checkpoint {path}: {err}");
-            }
-        };
-        let stop = sigint::pending;
-        let mut ctl = RunControl {
-            checkpoint_every: args.checkpoint_every_us.map(SimDuration::from_us),
-            checkpoint_sink: ckpt_path.is_some().then_some(&mut sink as _),
-            stop: ckpt_path.is_some().then_some(&stop as _),
-            stop_after: args.stop_after_us.map(SimDuration::from_us),
-            rss_limit_bytes: args.rss_limit_mb.map(|mb| mb << 20),
-            panic_after_frames: None,
-        };
-        let outcome = match (ring.as_mut(), series.as_mut(), spans.as_mut()) {
-            (None, None, None) => sim.run_controlled(&mut NullObserver, &mut ctl),
-            (Some(r), None, None) => sim.run_controlled(r, &mut ctl),
-            (None, Some(t), None) => sim.run_controlled(t, &mut ctl),
-            (None, None, Some(s)) => sim.run_controlled(s, &mut ctl),
-            (Some(r), Some(t), None) => sim.run_controlled(&mut (r, t), &mut ctl),
-            (Some(r), None, Some(s)) => sim.run_controlled(&mut (r, s), &mut ctl),
-            (None, Some(t), Some(s)) => sim.run_controlled(&mut (t, s), &mut ctl),
-            (Some(r), Some(t), Some(s)) => sim.run_controlled(&mut (r, (t, s)), &mut ctl),
-        };
-        let rings: Vec<RingRecorder> = ring.into_iter().collect();
-        match outcome {
-            RunOutcome::Completed(report) => (*report, rings),
-            RunOutcome::Interrupted { checkpoint } => {
-                let path = ckpt_path.expect("interruption is only armed with --checkpoint-out");
-                write_atomically(path, &checkpoint).map_err(|source| SimError::Io {
-                    path: path.clone(),
-                    source,
-                })?;
-                // The events recorded so far still go out: together with
-                // the resumed run's trace they form exactly the
-                // uninterrupted stream (part one ends at the checkpointed
-                // frame boundary).
-                write_event_trace(args, &rings)?;
-                eprintln!(
-                    "interrupted: checkpoint written to {path}; continue with \
-                     --resume-from {path} (and the same run flags)"
-                );
-                return Ok(());
-            }
+    };
+    let stop = sigint::pending;
+    let mut ctl = RunControl {
+        checkpoint_every: args.checkpoint_every_us.map(SimDuration::from_us),
+        checkpoint_sink: ckpt_path.is_some().then_some(&mut sink as _),
+        stop: ckpt_path.is_some().then_some(&stop as _),
+        stop_after: args.stop_after_us.map(SimDuration::from_us),
+        rss_limit_bytes: args.rss_limit_mb.map(|mb| mb << 20),
+    };
+    let outcome = match (ring.as_mut(), series.as_mut(), spans.as_mut()) {
+        (None, None, None) => sim.run_controlled(&mut NullObserver, &mut ctl),
+        (Some(r), None, None) => sim.run_controlled(r, &mut ctl),
+        (None, Some(t), None) => sim.run_controlled(t, &mut ctl),
+        (None, None, Some(s)) => sim.run_controlled(s, &mut ctl),
+        (Some(r), Some(t), None) => sim.run_controlled(&mut (r, t), &mut ctl),
+        (Some(r), None, Some(s)) => sim.run_controlled(&mut (r, s), &mut ctl),
+        (None, Some(t), Some(s)) => sim.run_controlled(&mut (t, s), &mut ctl),
+        (Some(r), Some(t), Some(s)) => sim.run_controlled(&mut (r, (t, s)), &mut ctl),
+    };
+    let mut report = match outcome {
+        RunOutcome::Completed(report) => *report,
+        RunOutcome::Interrupted { checkpoint } => {
+            let path = ckpt_path.expect("interruption is only armed with --checkpoint-out");
+            write_atomically(path, &checkpoint).map_err(|source| SimError::Io {
+                path: path.clone(),
+                source,
+            })?;
+            // The events recorded so far still go out: together with
+            // the resumed run's trace they form exactly the
+            // uninterrupted stream (part one ends at the checkpointed
+            // frame boundary).
+            write_event_trace(args, ring.as_ref())?;
+            eprintln!(
+                "interrupted: checkpoint written to {path}; continue with \
+                 --resume-from {path} (and the same run flags)"
+            );
+            return Ok(());
         }
     };
     // Attach the breakdown before any rendering so the printed report and
@@ -257,7 +224,7 @@ fn run_sim(args: &SimArgs) -> Result<(), SimError> {
     }
     println!("{report}");
 
-    write_event_trace(args, &rings)?;
+    write_event_trace(args, ring.as_ref())?;
     if let (Some(path), Some(series)) = (args.timeseries_out.as_ref(), series.as_ref()) {
         let body = if path.ends_with(".json") {
             series.to_json()
@@ -285,16 +252,17 @@ fn run_sim(args: &SimArgs) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Writes the `--trace-out` event stream, if requested: one ring per
-/// shard (one for a single queue) merged in shard order.
-fn write_event_trace(args: &SimArgs, rings: &[RingRecorder]) -> Result<(), SimError> {
-    let Some(path) = args.trace_out.as_ref() else {
+/// Writes the `--trace-out` event stream, if requested.
+fn write_event_trace(args: &SimArgs, ring: Option<&RingRecorder>) -> Result<(), SimError> {
+    let (Some(path), Some(ring)) = (args.trace_out.as_ref(), ring) else {
         return Ok(());
     };
-    write_file(path, |w| write_jsonl_many(rings, w))?;
-    let recorded: usize = rings.iter().map(RingRecorder::len).sum();
-    let overwritten: u64 = rings.iter().map(RingRecorder::overwritten).sum();
-    eprintln!("wrote event trace to {path} ({recorded} events, {overwritten} overwritten)");
+    write_file(path, |w| ring.write_jsonl(w))?;
+    eprintln!(
+        "wrote event trace to {path} ({} events, {} overwritten)",
+        ring.len(),
+        ring.overwritten()
+    );
     Ok(())
 }
 
@@ -340,8 +308,8 @@ fn run_sweep(args: &SimArgs) {
     }
 }
 
-fn run_trace(args: &SimArgs) {
-    let trace = trace_builder(args).build();
+fn run_trace(args: &SimArgs) -> Result<(), SimError> {
+    let trace = build_trace(args)?;
     println!(
         "{} tenants, {} interleaving, scale {}",
         trace.tenants(),
@@ -349,4 +317,5 @@ fn run_trace(args: &SimArgs) {
         args.scale
     );
     println!("{}", trace.stats());
+    Ok(())
 }

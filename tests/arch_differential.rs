@@ -7,11 +7,11 @@
 //! across repeated runs.
 
 use hypertrio::core::TranslationConfig;
-use hypertrio::sim::{run_sharded, SimParams, Simulation, WalkGeometry};
+use hypertrio::sim::{SimParams, Simulation, WalkGeometry};
 use hypertrio::trace::{HyperTraceBuilder, Interleaving, WorkloadKind};
 
 fn trace(kind: WorkloadKind, tenants: u32, scale: u64, seed: u64) -> hypertrio::trace::HyperTrace {
-    // Mirrors the CLI's trace_builder: RR1 interleaving is the default.
+    // Mirrors the CLI's build_trace: RR1 interleaving is the default.
     HyperTraceBuilder::new(kind, tenants)
         .interleaving(Interleaving::round_robin(1))
         .scale(scale)
@@ -95,28 +95,4 @@ fn all_geometries_run_deterministically() {
     // Deeper tables can only add accesses: sv39x4 <= x86-4 <= x86-5.
     assert!(get(WalkGeometry::RiscvSv39x4) <= get(WalkGeometry::X86Nested4));
     assert!(get(WalkGeometry::X86Nested4) <= get(WalkGeometry::X86Nested5));
-}
-
-/// Sharded RISC-V runs merge deterministically: the merged report is
-/// bit-identical for every `--jobs` value.
-#[test]
-fn riscv_sharded_runs_are_jobs_invariant() {
-    for g in [WalkGeometry::RiscvSv39x4, WalkGeometry::RiscvSv48x4] {
-        let builder = HyperTraceBuilder::new(WorkloadKind::Iperf3, 32)
-            .interleaving(Interleaving::round_robin(1))
-            .scale(100)
-            .seed(11);
-        let config = TranslationConfig::hypertrio();
-        let params = SimParams::paper().with_arch(g).with_warmup(200);
-        let run = |jobs| {
-            run_sharded(&config, &params, &builder, 4, jobs, None, None)
-                .expect("valid sharded run")
-                .0
-        };
-        assert_eq!(
-            run(1).to_json(),
-            run(4).to_json(),
-            "{g} sharded merge depends on --jobs"
-        );
-    }
 }

@@ -1,5 +1,6 @@
-//! End-to-end checks of the `hypertrio sim` binary's output flags: every
-//! requested file is written whichever run-control flags come with it.
+//! End-to-end checks of the `hypertrio` binary: every requested output
+//! file is written whichever run-control flags come with it, and bad input
+//! exits with a typed error instead of a panic.
 
 use std::path::Path;
 use std::process::Command;
@@ -38,4 +39,21 @@ fn rss_limited_run_writes_every_requested_output() {
         "report lacks the latency breakdown:\n{json}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A tenant count whose default SIDs reach the SID bound is a typed error
+/// on every command that builds a trace, reported before any lane exists.
+#[test]
+fn tenants_past_the_sid_bound_exit_with_a_typed_error() {
+    for command in ["sim", "trace"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hypertrio"))
+            .args([command, "--tenants", "16777217", "--scale", "1000000"])
+            .output()
+            .expect("run hypertrio");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.starts_with("error:"), "{command}: {stderr}");
+        assert!(stderr.contains("SID bound"), "{command}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
 }
